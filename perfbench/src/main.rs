@@ -58,6 +58,12 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
+/// A run is correct while at most one operation in this many failed.
+/// Known filter faults stay far below it (the TCF answers about 2 live
+/// keys per million absent under churn); a broken filter or server does
+/// not.
+const MAX_FAILED_PER: u64 = 10_000;
+
 /// Set-ups per run; `setup_s` is their median.
 pub const SETUPS: usize = 3;
 
@@ -133,6 +139,7 @@ fn main() {
         eprintln!("perfbench: {} attempted no operations", args.workload);
         std::process::exit(1);
     }
+    report.correct = report.failed <= report.attempted / MAX_FAILED_PER;
     let steal = cpu_before.steal_frac_until(&host::CpuTimes::read());
     report.lines.insert(
         0,

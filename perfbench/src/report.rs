@@ -19,8 +19,8 @@ pub struct Report {
     /// inserted keys that found nothing, live keys answered absent, and
     /// shed, errored or unanswered requests.
     pub failed: u64,
-    /// False when an answer could not be checked at all (a protocol or
-    /// accounting violation), as opposed to a counted failure.
+    /// False when more than one operation in 10,000 failed: counted
+    /// failures that a working program does not produce.
     pub correct: bool,
     pub metrics: Vec<Metric>,
     /// Free-form context lines (run quality, sizing).
