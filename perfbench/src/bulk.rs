@@ -26,6 +26,13 @@ pub const SLOTS: u64 = 1 << 22;
 pub const BATCH: usize = 1 << 18;
 /// Preload: 12 batches = 75% of the slots.
 pub const PRELOAD_BATCHES: u64 = 12;
+/// Churn rounds one pair of filters serves before both are built and
+/// preloaded again, untimed. From about the 11th round, once ~2.9 M keys
+/// have churned through its 3.1 M live keys, the TCF starts answering
+/// live keys absent and missing deletes (see README.md); eight rounds keep
+/// every run below that, so a faster program does not fail more
+/// operations by reaching further.
+const EPOCH_ROUNDS: u64 = 8;
 /// Rounds at the start of the traced phase over which gpu-sim counters
 /// are read. A fixed amount of work from a seed-determined state, so the
 /// counts repeat exactly between runs with the same seed.
@@ -58,8 +65,8 @@ struct Tally {
     failed: u64,
     absent_queries: u64,
     false_positives: u64,
-    /// Keys per second inside the calls of each round.
-    round_mkeys_s: Vec<f64>,
+    /// `(keys, CPU ns inside the calls)` of each round.
+    rounds: Vec<(u64, u64)>,
 }
 
 impl Tally {
@@ -72,6 +79,20 @@ impl Tally {
     fn mkeys_s(&self) -> f64 {
         self.keys() as f64 / self.ns() as f64 * 1e3
     }
+    /// Keys per second inside the calls, one value per round.
+    fn round_mkeys_s(&self) -> Vec<f64> {
+        self.rounds.iter().map(|&(keys, ns)| keys as f64 / ns as f64 * 1e3).collect()
+    }
+}
+
+/// CPU microseconds per key inside both filters' calls, one value per
+/// pair of rounds (a TCF round and the GQF round after it).
+fn pair_us_per_key(tcf: &Tally, gqf: &Tally) -> Vec<f64> {
+    tcf.rounds
+        .iter()
+        .zip(&gqf.rounds)
+        .map(|(t, g)| (t.1 + g.1) as f64 / (t.0 + g.0) as f64 / 1e3)
+        .collect()
 }
 
 /// One filter under churn: the live keys are the churn-stream indices
@@ -86,6 +107,22 @@ struct Churn<F> {
     hi: u64,
     absent_next: u64,
     refused: HashSet<u64>,
+    /// Churn rounds run since set-up.
+    rounds: u64,
+}
+
+/// The TCF and the GQF the workload churns.
+type Pair = (Churn<BulkTcf>, Churn<BulkGqf>);
+
+/// Build and preload both filters (the timed set-up) for `epoch`, each
+/// epoch with keys of its own.
+fn build_pair(seed: u64, epoch: u64) -> Result<Pair, String> {
+    let tcf = BulkTcf::from_spec(&spec()).map_err(|e| format!("TCF: {e}"))?;
+    let gqf = BulkGqf::from_spec(&spec()).map_err(|e| format!("GQF: {e}"))?;
+    Ok((
+        Churn::setup(TCF, "bulk.tcf_round", tcf, seed, 1 + 2 * epoch),
+        Churn::setup(GQF, "bulk.gqf_round", gqf, seed, 2 + 2 * epoch),
+    ))
 }
 
 impl<F: BulkDeletable> Churn<F> {
@@ -101,6 +138,7 @@ impl<F: BulkDeletable> Churn<F> {
             hi: 0,
             absent_next: 0,
             refused: HashSet::new(),
+            rounds: 0,
         };
         for _ in 0..PRELOAD_BATCHES {
             let mut t = Tally::default();
@@ -203,7 +241,8 @@ impl<F: BulkDeletable> Churn<F> {
         self.insert(tracer, id, t);
         self.query(tracer, id, t);
         self.delete(tracer, id, t);
-        t.round_mkeys_s.push((t.keys() - keys) as f64 / (t.ns() - ns) as f64 * 1e3);
+        t.rounds.push((t.keys() - keys, t.ns() - ns));
+        self.rounds += 1;
         let name = self.round_name;
         tracer.record(Span { id, parent: 0, name, start_ns: t0, end_ns: tracer.now_ns(), keys: 0 });
     }
@@ -214,29 +253,38 @@ impl<F: BulkDeletable> Churn<F> {
 }
 
 /// Alternate TCF and GQF rounds, in whole pairs, while the next pair is
-/// expected to end within `budget` (at least one pair), so both filters
-/// sample the host across the whole run. Given two tallies per filter,
-/// pairs switch the tracer on and off in turn and count into `[0]`
-/// (traced) and `[1]` (untraced).
-fn run_pairs<A: BulkDeletable, B: BulkDeletable>(
-    tcf: &mut Churn<A>,
-    gqf: &mut Churn<B>,
+/// expected to end within `budget` of round time (at least one pair), so
+/// both filters sample the host across the whole run. A pair that has run
+/// [`EPOCH_ROUNDS`] rounds is replaced by a fresh one, untimed. Given two
+/// tallies per filter, pairs switch the tracer on and off in turn and
+/// count into `[0]` (traced) and `[1]` (untraced). Returns the last pair
+/// and the number of pairs built.
+fn run_pairs(
+    mut pair: Pair,
+    seed: u64,
     tracer: &Tracer,
     budget: Duration,
     t_tcf: &mut [Tally],
     t_gqf: &mut [Tally],
-) {
-    let start = Instant::now();
-    for done in 1u32.. {
-        let k = (done as usize - 1) % t_tcf.len();
+) -> Result<(Pair, u64), String> {
+    let (mut spent, mut done, mut epoch) = (Duration::ZERO, 0u32, 0);
+    loop {
+        if pair.0.rounds == EPOCH_ROUNDS {
+            drop(pair);
+            epoch += 1;
+            pair = build_pair(seed, epoch)?;
+        }
+        let k = done as usize % t_tcf.len();
         if t_tcf.len() > 1 {
             tracer.set_enabled(k == 0);
         }
-        tcf.round(tracer, &mut t_tcf[k]);
-        gqf.round(tracer, &mut t_gqf[k]);
-        let elapsed = start.elapsed();
-        if elapsed + elapsed / done > budget {
-            return;
+        let start = Instant::now();
+        pair.0.round(tracer, &mut t_tcf[k]);
+        pair.1.round(tracer, &mut t_gqf[k]);
+        spent += start.elapsed();
+        done += 1;
+        if spent + spent / done > budget {
+            return Ok((pair, epoch + 1));
         }
     }
 }
@@ -287,23 +335,15 @@ fn merge(a: &mut Tally, b: &Tally) {
     a.failed += b.failed;
     a.absent_queries += b.absent_queries;
     a.false_positives += b.false_positives;
-    a.round_mkeys_s.extend(&b.round_mkeys_s);
+    a.rounds.extend(&b.rounds);
 }
 
 pub fn run(args: &Args) -> Result<Report, String> {
     let mut report = Report::new();
-    let (pair, setup) = crate::setup_repeated(|| {
-        let tcf = BulkTcf::from_spec(&spec()).map_err(|e| format!("TCF: {e}"))?;
-        let gqf = BulkGqf::from_spec(&spec()).map_err(|e| format!("GQF: {e}"))?;
-        Ok((
-            Churn::setup(TCF, "bulk.tcf_round", tcf, args.seed, 1),
-            Churn::setup(GQF, "bulk.gqf_round", gqf, args.seed, 2),
-        ))
-    })?;
-    let (mut tcf, mut gqf) = pair;
+    let (mut pair, setup) = crate::setup_repeated(|| build_pair(args.seed, 0))?;
     setup.report(&mut report, !args.trace);
     for (name, slots) in
-        [("tcf", tcf.filter.capacity_slots()), ("gqf", gqf.filter.capacity_slots())]
+        [("tcf", pair.0.filter.capacity_slots()), ("gqf", pair.1.filter.capacity_slots())]
     {
         if slots != SLOTS {
             return Err(format!("{name} has {slots} slots, expected {SLOTS}"));
@@ -313,27 +353,31 @@ pub fn run(args: &Args) -> Result<Report, String> {
     let total = Duration::from_secs_f64(args.seconds);
     let tracer = Tracer::new(args.trace);
     let (mut t_tcf, mut t_gqf) = (Tally::default(), Tally::default());
-    if !args.trace {
-        run_pairs(
-            &mut tcf,
-            &mut gqf,
+    let pairs_built = if !args.trace {
+        let (last, built) = run_pairs(
+            pair,
+            args.seed,
             &tracer,
             total,
             std::slice::from_mut(&mut t_tcf),
             std::slice::from_mut(&mut t_gqf),
-        );
+        )?;
+        pair = last;
+        built
     } else {
         // The counter windows start from the seed-determined post-set-up
         // state; traced and untraced pairs of rounds then alternate.
-        let (w_tcf, first) = sim_window(&mut tcf, &tracer);
+        let (w_tcf, first) = sim_window(&mut pair.0, &tracer);
         let mut tcf_split = [first, Tally::default()];
-        let (w_gqf, first) = sim_window(&mut gqf, &tracer);
+        let (w_gqf, first) = sim_window(&mut pair.1, &tracer);
         let mut gqf_split = [first, Tally::default()];
-        run_pairs(&mut tcf, &mut gqf, &tracer, total, &mut tcf_split, &mut gqf_split);
+        let (last, built) =
+            run_pairs(pair, args.seed, &tracer, total, &mut tcf_split, &mut gqf_split)?;
+        pair = last;
         tracer.set_enabled(false);
         traced_metrics(&mut report, &tcf_split[0], &gqf_split[0], &w_tcf, &w_gqf);
         let slowdown =
-            |t: &[Tally; 2]| median(&t[1].round_mkeys_s) / median(&t[0].round_mkeys_s) - 1.0;
+            |t: &[Tally; 2]| median(&t[1].round_mkeys_s()) / median(&t[0].round_mkeys_s()) - 1.0;
         report.metric(
             "trace.overhead_frac",
             (slowdown(&tcf_split) + slowdown(&gqf_split)) / 2.0,
@@ -347,34 +391,39 @@ pub fn run(args: &Args) -> Result<Report, String> {
             merge(total, &split[0]);
             merge(total, &split[1]);
         }
-    }
+        built
+    };
+    let (tcf, gqf) = pair;
+    report.line(format!(
+        "filter pairs: {pairs_built}, each churned for at most {EPOCH_ROUNDS} rounds and rebuilt untimed"
+    ));
 
     for (label, t, c_live) in [("tcf", &t_tcf, tcf.live()), ("gqf", &t_gqf, gqf.live())] {
+        let rounds = t.round_mkeys_s();
         report.line(format!(
-            "{label}: {} rounds ({:.4?} Mkeys/s), {} keys in {:.3} s of calls, {} failed, {} live keys",
-            t.round_mkeys_s.len(),
-            t.round_mkeys_s,
+            "{label}: median {:.4} Mkeys/s of CPU time inside its calls over {} rounds ({:.4?}), \
+             {} keys in {:.3} s of calls, {} failed, {} live keys, {} of {} absent keys present",
+            median(&rounds),
+            rounds.len(),
+            rounds,
             t.keys(),
             t.ns() as f64 / 1e9,
             t.failed,
-            c_live
+            c_live,
+            t.false_positives,
+            t.absent_queries
         ));
     }
     report.attempted = t_tcf.keys() + t_gqf.keys();
     report.failed = t_tcf.failed + t_gqf.failed;
     if !args.trace {
-        for (name, t) in [("tcf_mkeys_s", &t_tcf), ("gqf_mkeys_s", &t_gqf)] {
-            report.metric(
-                name,
-                median(&t.round_mkeys_s),
-                "Mkeys/s",
-                format!(
-                    "keys per second inside the filter's calls, median of {} rounds; {:.4} overall",
-                    t.round_mkeys_s.len(),
-                    t.mkeys_s()
-                ),
-            );
-        }
+        let pairs = pair_us_per_key(&t_tcf, &t_gqf);
+        report.metric(
+            "cpu_us_per_key",
+            median(&pairs),
+            "us",
+            format!("CPU inside both filters' calls, median of {} round pairs", pairs.len()),
+        );
         let absent = t_tcf.absent_queries + t_gqf.absent_queries;
         let fps = t_tcf.false_positives + t_gqf.false_positives;
         report.metric("fp_rate", fps as f64 / absent as f64, "ratio", format!("{fps} of {absent}"));
@@ -392,6 +441,12 @@ pub fn run(args: &Args) -> Result<Report, String> {
 
 fn traced_metrics(r: &mut Report, tcf: &Tally, gqf: &Tally, w_tcf: &SimWindow, w_gqf: &SimWindow) {
     for (layer, t) in [("tcf", tcf), ("gqf", gqf)] {
+        r.metric(
+            &format!("{layer}.mkeys_s"),
+            t.mkeys_s(),
+            "Mkeys/s",
+            format!("{} keys in {:.3} s of CPU inside the calls", t.keys(), t.ns() as f64 / 1e9),
+        );
         for (op, o) in [("insert", t.insert), ("query", t.query), ("delete", t.delete)] {
             r.metric(
                 &format!("{layer}.{op}_ns_per_key"),
@@ -401,6 +456,13 @@ fn traced_metrics(r: &mut Report, tcf: &Tally, gqf: &Tally, w_tcf: &SimWindow, w
             );
         }
     }
+    r.metric(
+        "tcf.call_us_mean",
+        tcf.ns() as f64 / tcf.calls as f64 / 1e3,
+        "us",
+        format!("CPU time, {} calls", tcf.calls),
+    );
+    r.metric("tcf.keys_per_call", tcf.keys() as f64 / tcf.calls as f64, "keys", "");
     r.metric(
         "tcf.failed_per_mkey",
         tcf.failed as f64 * 1e6 / tcf.keys() as f64,
@@ -427,5 +489,20 @@ fn traced_metrics(r: &mut Report, tcf: &Tally, gqf: &Tally, w_tcf: &SimWindow, w
         launches as f64 / calls as f64,
         "count",
         format!("{launches} launches over {calls} calls"),
+    );
+    r.not_exercised(
+        &[
+            "filter-service.self_us_mean",
+            "filter-service.keys_per_flush",
+            "filter-service.backend_busy_frac",
+            "filter-service.coalesced_frac",
+            "filter-service.queue_depth_max",
+            "filter-net.self_us_mean",
+            "filter-net.bytes_per_key",
+            "filter-net.pool_hit_ratio",
+            "filter-net.shed_frac",
+            "loadgen.send_lag_us_p99",
+        ],
+        "bulk calls the filters directly",
     );
 }

@@ -64,6 +64,10 @@ fn parse_args() -> Result<Args, String> {
 /// not.
 const MAX_FAILED_PER: u64 = 10_000;
 
+/// The workloads of `BENCHMARK.json`: each prints exactly the manifest's
+/// metrics. `service` is run by hand and prints its own.
+const MANIFEST_WORKLOADS: [&str; 2] = ["bulk", "wire"];
+
 /// Set-ups per run; `setup_s` is their median.
 pub const SETUPS: usize = 3;
 
@@ -154,10 +158,18 @@ fn main() {
             steal
         ),
     );
-    if args.trace {
+    let manifest = if args.trace {
         report.metric("host.steal_frac", steal, "ratio", "from /proc/stat across the run");
+        report::PER_LAYER
     } else {
         report.metric("peak_rss_mb", host::peak_rss_mb(), "MiB", "VmHWM");
+        report::END_TO_END
+    };
+    if MANIFEST_WORKLOADS.contains(&args.workload.as_str()) {
+        if let Err(e) = report.conform(manifest) {
+            eprintln!("perfbench: {}: {e}", args.workload);
+            std::process::exit(1);
+        }
     }
     print!("{}", report.render());
     println!("{}", report.json());

@@ -18,7 +18,9 @@ use filter_core::{BulkDeletable, FilterError, FilterSpec, ServiceBackend};
 use filter_service::{
     ServiceControl, ServiceHandle, ServiceStats, ShardedFilter, ShardedFilterBuilder,
 };
+use gpu_sim::cost::estimate;
 use gpu_sim::metrics::{self, Counter, Counters};
+use gpu_sim::{DeviceProfile, KernelStats};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -41,6 +43,12 @@ const PRELOAD_CHUNK: usize = 4096;
 /// default `Parallelism::Auto` host workers.
 pub fn shard_spec() -> FilterSpec {
     FilterSpec::items(SHARD_SLOTS * 9 / 10).fp_rate(0.01)
+}
+
+/// Keys [`build`] loads: the stable keys plus `churn` backlog keys per
+/// client.
+pub fn preloaded(churn: u64) -> u64 {
+    STABLE + CLIENTS as u64 * churn
 }
 
 /// First churn-stream index owned by client `c`.
@@ -245,8 +253,9 @@ impl Window {
 }
 
 /// Per-layer metrics of the filter-service, tcf and gpu-sim layers over
-/// a window, from the service's own counters and the backend spans.
-/// Returns the mean backend call time in microseconds.
+/// a window, from the service's own counters and the backend spans (wall
+/// time) of TCF shards of `shard_bytes` each. Returns the mean backend
+/// call time in microseconds.
 pub fn backend_layers(
     r: &mut Report,
     before: &Window,
@@ -254,6 +263,7 @@ pub fn backend_layers(
     backend: &[Span],
     wall: Duration,
     queue_max: u64,
+    shard_bytes: u64,
 ) -> f64 {
     let after = control.stats();
     let counters = metrics::snapshot().since(&before.counters);
@@ -261,7 +271,25 @@ pub fn backend_layers(
     let busy: u64 = backend.iter().map(Span::dur_ns).sum();
     let keys: u64 = backend.iter().map(|s| s.keys).sum();
     let call_us = busy as f64 / calls / 1e3;
-    r.metric("tcf.call_us_mean", call_us, "us", format!("{calls} calls"));
+    r.metric(
+        "tcf.mkeys_s",
+        keys as f64 / busy as f64 * 1e3,
+        "Mkeys/s",
+        format!("{keys} keys in {:.3} s of backend calls (wall)", busy as f64 / 1e9),
+    );
+    for (op, span) in [("insert", TCF.insert), ("query", TCF.query), ("delete", TCF.delete)] {
+        let name = format!("tcf.{op}_ns_per_key");
+        let (n, ns) = backend
+            .iter()
+            .filter(|s| s.name == span)
+            .fold((0, 0), |(n, ns), s| (n + s.keys, ns + s.dur_ns()));
+        if n == 0 {
+            r.not_exercised(&[&name], &format!("no {op} calls"));
+        } else {
+            r.metric(&name, ns as f64 / n as f64, "ns", format!("wall, {n} keys"));
+        }
+    }
+    r.metric("tcf.call_us_mean", call_us, "us", format!("wall, {calls} calls"));
     r.metric("tcf.keys_per_call", keys as f64 / calls, "keys", format!("{keys} keys"));
     let items = after.items_flushed - before.stats.items_flushed;
     let flushes = after.batches_flushed - before.stats.batches_flushed;
@@ -298,7 +326,44 @@ pub fn backend_layers(
         "count",
         format!("{launches} launches over {calls} backend calls"),
     );
+    let lines = counters.get(Counter::LinesLoaded) + counters.get(Counter::LinesStored);
+    r.metric(
+        "gpu-sim.tcf_lines_per_key",
+        lines as f64 / keys.max(1) as f64,
+        "lines",
+        format!("{lines} lines over {keys} keys"),
+    );
+    let profile = DeviceProfile::cori_v100();
+    let stats = KernelStats {
+        counters,
+        wall: Duration::from_nanos(busy),
+        items: keys,
+        cg_size: 1,
+        active_threads: ((keys as f64 / calls) as u64).min(profile.max_threads),
+    };
+    r.metric(
+        "gpu-sim.tcf_modeled_mkeys_s",
+        estimate(&stats, &profile, shard_bytes).throughput / 1e6,
+        "Mkeys/s",
+        "cost-model time at the service's batch sizes, not wall time; unvalidated",
+    );
+    r.not_exercised(
+        &[
+            "gqf.mkeys_s",
+            "gqf.insert_ns_per_key",
+            "gqf.query_ns_per_key",
+            "gqf.delete_ns_per_key",
+            "gpu-sim.gqf_lines_per_key",
+            "gpu-sim.gqf_modeled_mkeys_s",
+        ],
+        "the shards are TCFs",
+    );
     call_us
+}
+
+/// Table bytes of one shard.
+pub fn shard_bytes<B: ServiceBackend>(svc: &ShardedFilter<B>) -> u64 {
+    svc.backends()[0].read().expect("backend lock poisoned").table_bytes() as u64
 }
 
 pub fn run(args: &Args) -> Result<Report, String> {
@@ -348,7 +413,16 @@ where
         let spans = tracer.spans();
         let (backend, calls): (Vec<Span>, Vec<Span>) =
             spans.iter().partition(|s| s.name.starts_with("tcf."));
-        backend_layers(&mut report, &before, &control, &backend, traced.wall, traced.queue_max);
+        let bytes = shard_bytes(&svc);
+        backend_layers(
+            &mut report,
+            &before,
+            &control,
+            &backend,
+            traced.wall,
+            traced.queue_max,
+            bytes,
+        );
         let self_ns: u64 = self_times(
             &calls.iter().map(|c| (c.start_ns, c.end_ns)).collect::<Vec<_>>(),
             &backend.iter().map(|b| (b.start_ns, b.end_ns)).collect::<Vec<_>>(),

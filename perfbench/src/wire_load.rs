@@ -7,7 +7,7 @@
 
 use crate::gen::{poisson_schedule, Keys, Rng, Stream};
 use crate::report::Report;
-use crate::service::{self, backend_layers, churn_base, shard_spec, Window};
+use crate::service::{self, backend_layers, churn_base, shard_bytes, shard_spec, Window};
 use crate::stats::{percentile, sorted, windowed_percentile};
 use crate::timed::{Timed, TCF};
 use crate::trace::Tracer;
@@ -28,6 +28,11 @@ const KEYS_PER_REQUEST: usize = 16;
 const PRELOAD_CHURN: u64 = 52_428;
 /// How long to wait for answers after the last scheduled send.
 const DRAIN: Duration = Duration::from_secs(5);
+/// Never-inserted keys queried on every shard after the run for
+/// `fp_rate`: ~2,500 false positives per shard at their ~0.25% rate.
+const FP_PROBE: u64 = 1 << 20;
+/// Keys per probe call, small so the probe adds nothing to peak RSS.
+const PROBE_CHUNK: usize = 1 << 14;
 
 /// A served fleet: the service, its wire front end and the clients.
 struct Served<B: ServiceBackend + 'static> {
@@ -59,6 +64,8 @@ struct LaneOut {
     lag_us: Vec<f64>,
     requests: u64,
     keys: u64,
+    /// Keys inserted and answered as inserted.
+    inserted: u64,
     failed_keys: u64,
     queue_max: u64,
 }
@@ -130,7 +137,11 @@ impl LaneRun {
             self.out.lat_ms.push((self.schedule[i], lat));
             self.out.failed_keys += match r.status {
                 Status::Ok if r.outcomes.len() == KEYS_PER_REQUEST => {
-                    r.outcomes.iter().filter(|&&yes| !yes).count() as u64
+                    let yes = r.outcomes.iter().filter(|&&yes| yes).count();
+                    if self.ops[i] == Op::Insert {
+                        self.out.inserted += yes as u64;
+                    }
+                    (KEYS_PER_REQUEST - yes) as u64
                 }
                 Status::Ok => return Err(format!("response {} has the wrong key count", r.id)),
                 Status::Shed | Status::Error => KEYS_PER_REQUEST as u64,
@@ -176,6 +187,7 @@ struct Phase {
     lag_us: Vec<f64>,
     requests: u64,
     keys: u64,
+    inserted: u64,
     failed_keys: u64,
     queue_max: u64,
     wall: Duration,
@@ -234,6 +246,7 @@ fn drive(
         phase.lag_us.extend(o.lag_us);
         phase.requests += o.requests;
         phase.keys += o.keys;
+        phase.inserted += o.inserted;
         phase.failed_keys += o.failed_keys;
         phase.queue_max = phase.queue_max.max(o.queue_max);
     }
@@ -296,8 +309,16 @@ where
             drive(&mut served.clients, &mut lanes, 1, args, &keys, &control, args.seconds / 2.0)?;
         tracer.set_enabled(false);
         let spans = tracer.spans();
-        let call_us =
-            backend_layers(&mut report, &before, &control, &spans, traced.wall, traced.queue_max);
+        let bytes = shard_bytes(&served.svc);
+        let call_us = backend_layers(
+            &mut report,
+            &before,
+            &control,
+            &spans,
+            traced.wall,
+            traced.queue_max,
+            bytes,
+        );
         net_layers(&mut report, &before, &control, &net_before, &net(&served), &traced, call_us);
         report.metric(
             "tcf.failed_per_mkey",
@@ -355,8 +376,43 @@ where
             "us",
             format!("process CPU less the load thread's, over {} keys", phase.keys),
         );
+        let (fps, probed) = fp_probe(&served.svc, &keys);
+        report.metric(
+            "fp_rate",
+            fps as f64 / probed as f64,
+            "ratio",
+            format!("{fps} of {probed} never-inserted keys, probed on every shard after the run"),
+        );
+        let live = service::preloaded(PRELOAD_CHURN) + phase.inserted;
+        let bytes: usize = served
+            .svc
+            .backends()
+            .iter()
+            .map(|b| b.read().expect("backend lock poisoned").table_bytes())
+            .sum();
+        report.metric(
+            "bits_per_key",
+            bytes as f64 * 8.0 / live as f64,
+            "bits",
+            format!("{bytes} table bytes over the shards, {live} live keys"),
+        );
     }
     Ok(report)
+}
+
+/// Query [`FP_PROBE`] never-inserted keys on every shard directly:
+/// `(answered present, probed)`.
+fn fp_probe<B: ServiceBackend>(svc: &ShardedFilter<B>, keys: &Keys) -> (u64, u64) {
+    let mut out = vec![false; PROBE_CHUNK];
+    let mut hits = 0;
+    for start in (0..FP_PROBE).step_by(PROBE_CHUNK) {
+        let probe = keys.range(Stream::Absent, start, PROBE_CHUNK);
+        for b in svc.backends() {
+            b.read().expect("backend lock poisoned").bulk_query(&probe, &mut out);
+            hits += out.iter().filter(|&&hit| hit).count() as u64;
+        }
+    }
+    (hits, FP_PROBE * svc.backends().len() as u64)
 }
 
 /// Per-layer metrics of the filter-net tier, and the filter-service's
