@@ -1,6 +1,7 @@
 //! Workload `bulk`: the paper's library user. One thread drives a TCF
 //! and a GQF through the bulk API, each preloaded to 75% load during
-//! set-up and then churned in alternating rounds that keep the load level.
+//! set-up and then churned in alternating rounds that keep the load level;
+//! both are rebuilt, untimed, every [`EPOCH_ROUNDS`] rounds.
 
 use crate::gen::{Keys, Rng, Stream};
 use crate::host;
