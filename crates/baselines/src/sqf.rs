@@ -8,8 +8,9 @@
 //!   rather than the 0.1% target;
 //! * at most 2^26 slots (5-bit remainders) / 2^18 (13-bit);
 //! * bulk API only (Table 1: no point operations, no counting);
-//! * deletes are serialized full-cluster rewrites — the two-orders-of-
-//!   magnitude gap to the GQF's even-odd phased deletes in Fig. 6.
+//! * deletes run serialized on one device thread in batch order, unsorted
+//!   — the two-orders-of-magnitude gap to the GQF's even-odd phased
+//!   deletes in Fig. 6.
 //!
 //! The quotient-filter core is shared with the GQF crate; the SQF's
 //! packed-slot storage is modeled by separate remainder/metadata arrays
@@ -272,8 +273,9 @@ impl Sqf {
         }
     }
 
-    /// Bulk delete — serialized, unsorted, full-cluster rewrites per item:
-    /// the behaviour behind the SQF's Fig. 6 deletion collapse.
+    /// Bulk delete — one device thread deletes every item in batch order,
+    /// unsorted. That serialization, not the per-item delete (the GQF
+    /// core's local left slide), is the SQF's Fig. 6 deletion collapse.
     pub fn delete_batch(&self, keys: &[u64]) -> usize {
         let l = *self.core.layout();
         let missing = AtomicUsize::new(0);

@@ -1,11 +1,11 @@
 //! Figure 6: deletion throughput — point TCF (tombstone CAS), bulk GQF
-//! (even-odd phased, sorted, descending), and SQF (serialized cluster
-//! rewrites) on the Cori model, with every filter built by the registry
-//! and driven through the `DynFilter` facade. Every repeat reloads a
-//! fresh filter (untimed) before timing the deletes, so repeat statistics
-//! measure deletion alone. Log-scale separations of roughly an order of
-//! magnitude each are the paper's result; the trajectory lands in
-//! `experiments/BENCH_fig6.json`.
+//! (even-odd phased, sorted, descending), and SQF (serialized on one
+//! device thread, unsorted) on the Cori model, with every filter built by
+//! the registry and driven through the `DynFilter` facade. Every repeat
+//! reloads a fresh filter (untimed) before timing the deletes, so repeat
+//! statistics measure deletion alone. Log-scale separations of roughly an
+//! order of magnitude each are the paper's result; the trajectory lands
+//! in `experiments/BENCH_fig6.json`.
 //!
 //! ```sh
 //! cargo run --release -p bench --bin fig6_deletes -- --sizes 18,20,22

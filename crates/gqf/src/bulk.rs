@@ -428,7 +428,9 @@ impl BulkGqf {
     }
 
     /// Delete a batch of previously inserted keys in two phases,
-    /// processing each region's items in descending order ("deleting
+    /// processing each region's items in descending order. A delete
+    /// slides only the cluster tail after its run left, so deleting
+    /// larger items first leaves each slide less to move ("deleting
     /// larger items first" minimizes left-shifting, §6.4). Returns the
     /// count not found.
     pub fn delete_batch(&self, keys: &[u64]) -> usize {

@@ -1,5 +1,7 @@
 //! The GQF's quotient-filter core: Robin Hood layout, cluster walks, run
-//! rewrites, and the custom right-shift `memmove` (§5.1–5.2).
+//! rewrites, the custom right-shift `memmove` of inserts (§5.1–5.2), and
+//! the left slide of deletes (§6.4). Both shifts move only the cluster
+//! tail after the changed run.
 //!
 //! Every method on [`GqfCore`] **requires exclusive access to the cluster
 //! it touches** — provided by region locks in the point API
@@ -15,7 +17,9 @@
 //! * a slot holds `shifted = 1` iff its item sits right of its canonical
 //!   slot; a slot with all three bits clear is empty;
 //! * runs are ordered by quotient and packed into *clusters* — maximal
-//!   empty-free slot ranges, each starting at an unshifted slot.
+//!   empty-free slot ranges, each starting at an unshifted slot;
+//! * the layout is canonical: each run starts at max(previous run end,
+//!   quotient), so it depends only on the stored multiset.
 
 use crate::bits::{Metadata, Tracked};
 use crate::layout::Layout;
@@ -352,11 +356,7 @@ impl GqfCore {
         let mut s = c0;
         let mut q_cursor = c0;
         while s < self.layout.physical_slots() && !self.meta.is_empty_slot(cur, s) {
-            let b = if gpu_sim::swar::enabled() {
-                crate::bits::next_set_swar(&mut cur.occ, q_cursor, s + 1)
-            } else {
-                crate::bits::next_set_scalar(&mut cur.occ, q_cursor, s + 1)
-            };
+            let b = self.next_occupied(&mut cur.occ, q_cursor, s + 1);
             debug_assert!(b <= s, "run at {s} has no occupied quotient");
             let (vals, end_ex) = self.read_run(&mut cur.cont, rem, s);
             runs.push(Run { quotient: b, entries: decode_run(&vals, self.layout.r_bits) });
@@ -366,62 +366,94 @@ impl GqfCore {
         (runs, s)
     }
 
-    /// Rewrite the cluster that started at `c0` from `runs`, clearing any
-    /// freed tail slots up to `old_end`. Used by the shrink paths
-    /// (deletes) — the "more compute intensive" operation of §6.4.
-    fn relayout_cluster(
-        &self,
-        cur: &mut crate::bits::MetaCursor<'_>,
-        rem: &mut Tracked<'_>,
-        c0: usize,
-        runs: &[Run],
-        old_end: usize,
-    ) {
-        let mut pos = c0;
-        for run in runs {
-            let start = pos.max(run.quotient);
-            // Freed slots between runs become empty.
-            for i in pos..start {
-                cur.cont.set_bit(i, false);
-                cur.shift.set_bit(i, false);
-            }
-            let vals = encode_run(&run.entries, self.layout.r_bits);
-            self.write_run(cur, rem, run.quotient, start, &vals);
-            pos = start + vals.len();
+    /// First occupied quotient in `[from, to)`, else `to`.
+    fn next_occupied(&self, occ: &mut Tracked<'_>, from: usize, to: usize) -> usize {
+        if gpu_sim::swar::enabled() {
+            crate::bits::next_set_swar(occ, from, to)
+        } else {
+            crate::bits::next_set_scalar(occ, from, to)
         }
-        for i in pos..old_end {
+    }
+
+    /// Mark `[from, to)` empty by clearing continuation and shifted bits
+    /// (a freed slot carries no occupied bit, see [`Self::slide_left`]).
+    fn clear_slots(&self, cur: &mut crate::bits::MetaCursor<'_>, from: usize, to: usize) {
+        for i in from..to {
             cur.cont.set_bit(i, false);
             cur.shift.set_bit(i, false);
         }
     }
 
+    /// Close the hole `[dst, src)` that quotient `q`'s run left when it
+    /// shrank: slide each following run of the cluster left, never past
+    /// its own quotient, and clear the slots nothing moves into — the
+    /// left-shift of §6.4, touching only what follows the removed item.
+    /// The walk stops at the first empty slot or unshifted run start
+    /// (neither can move), so it stays inside the cluster and the regions
+    /// its caller owns. Each moved run starts at max(previous run end,
+    /// quotient), the canonical layout [`Self::check_invariants`] asserts,
+    /// so every occupied quotient's slot stays covered and no freed slot
+    /// carries an occupied bit.
+    fn slide_left(
+        &self,
+        cur: &mut crate::bits::MetaCursor<'_>,
+        rem: &mut Tracked<'_>,
+        q: usize,
+        mut dst: usize,
+        mut src: usize,
+    ) {
+        let n = self.layout.physical_slots();
+        let mut q_next = q + 1;
+        // After a run end, a shifted slot starts the cluster's next run.
+        while src < n && cur.shift.get_bit(src) {
+            let b = self.next_occupied(&mut cur.occ, q_next, src);
+            debug_assert!(b < src, "shifted run at {src} has no occupied quotient");
+            let end = self.run_end(&mut cur.cont, src) + 1;
+            let to = dst.max(b);
+            self.clear_slots(cur, dst, to);
+            // `to < src`, so an ascending copy never reads a written slot.
+            for i in 0..end - src {
+                let v = rem.get(src + i);
+                rem.set(to + i, v);
+                cur.cont.set_bit(to + i, i != 0);
+                cur.shift.set_bit(to + i, i != 0 || to != b);
+            }
+            dst = to + (end - src);
+            src = end;
+            q_next = b + 1;
+        }
+        self.clear_slots(cur, dst, src);
+    }
+
     /// Remove `delta` instances of `(q, r)`. Returns `true` if the
     /// fingerprint was present.
+    ///
+    /// Re-encodes only `q`'s run; if the run shrank, [`Self::slide_left`]
+    /// closes the freed slots. Requires exclusive access to the cluster.
     pub fn delete(&self, q: usize, r: u64, delta: u64) -> Result<bool, FilterError> {
         let mut cur = self.meta.cursor();
         if !cur.occ.get_bit(q) {
             return Ok(false);
         }
         let mut rem = Tracked::new(&self.remainders);
-        let c0 = self.cluster_start(&mut cur.shift, q);
-        let (mut runs, old_end) = self.collect_cluster(&mut cur, &mut rem, c0);
-        let Some(idx) = runs.iter().position(|run| run.quotient == q) else {
-            return Ok(false);
-        };
-        let before = total_count(&runs[idx].entries);
-        if !remove_entry(&mut runs[idx].entries, r, delta) {
+        let start = self.run_start(&mut cur, q);
+        let (old_vals, old_end) = self.read_run(&mut cur.cont, &mut rem, start);
+        let mut entries = decode_run(&old_vals, self.layout.r_bits);
+        let before = total_count(&entries);
+        if !remove_entry(&mut entries, r, delta) {
             return Ok(false);
         }
-        let removed = before - total_count(&runs[idx].entries);
-        if runs[idx].entries.is_empty() {
-            runs.remove(idx);
+        let removed = before - total_count(&entries);
+        if entries.is_empty() {
             cur.occ.set_bit(q, false);
         }
-        let used_before: usize = old_end - c0;
-        self.relayout_cluster(&mut cur, &mut rem, c0, &runs, old_end);
-        let used_after: usize =
-            runs.iter().map(|r2| crate::runs::encoded_len(&r2.entries, self.layout.r_bits)).sum();
-        self.used_slots.fetch_sub(used_before - used_after, Ordering::Relaxed);
+        let new_vals = encode_run(&entries, self.layout.r_bits);
+        self.write_run(&mut cur, &mut rem, q, start, &new_vals);
+        let freed = old_vals.len() - new_vals.len();
+        if freed > 0 {
+            self.slide_left(&mut cur, &mut rem, q, start + new_vals.len(), old_end);
+            self.used_slots.fetch_sub(freed, Ordering::Relaxed);
+        }
         self.items.fetch_sub(removed as usize, Ordering::Relaxed);
         Ok(true)
     }
@@ -458,48 +490,61 @@ impl GqfCore {
         MultisetIter { core: self, next_slot: 0, pending: Vec::new() }
     }
 
-    /// Verify the structural invariants (test / debugging aid): runs
-    /// sorted, metadata consistent, slot accounting exact. Panics on
-    /// violation.
+    /// Verify the structural invariants (test / debugging aid), panicking
+    /// on a violation. One O(n) pass checks that every run
+    /// * starts at max(previous run end, quotient) — the canonical layout
+    ///   an upsert's right shift and a delete's left slide both keep;
+    /// * has its first slot marked shifted exactly when start ≠ quotient;
+    /// * sets continuation bits on exactly its non-first slots, all of
+    ///   them shifted;
+    /// * holds exactly `encode_run` of its decoded, strictly ascending
+    ///   entries;
+    ///
+    /// and that every occupied quotient owns one run and the slot and
+    /// item accounting is exact.
     pub fn check_invariants(&self) {
+        let n = self.layout.physical_slots();
+        let r_bits = self.layout.r_bits;
         let mut cur = self.meta.cursor();
         let mut rem = Tracked::new(&self.remainders);
+        let (mut used, mut items, mut runs) = (0usize, 0u64, 0usize);
+        // Exclusive end of the previous run, and the lowest quotient the
+        // next run may belong to.
+        let (mut prev_end, mut q_next) = (0usize, 0usize);
         let mut s = 0usize;
-        let mut used = 0usize;
-        let mut items = 0usize;
-        while s < self.layout.physical_slots() {
-            if self.meta.is_empty_slot(&mut cur, s) {
-                assert!(
-                    !cur.cont.get_bit(s) && !cur.shift.get_bit(s),
-                    "empty slot {s} has stray bits"
-                );
-                s += 1;
+        while s < n {
+            // Skip empty slots (all three bits clear) a word at a time;
+            // `n` is a multiple of 64.
+            let busy =
+                (cur.occ.get_word(s) | cur.cont.get_word(s) | cur.shift.get_word(s)) >> (s % 64);
+            if busy == 0 {
+                s = (s | 63) + 1;
                 continue;
             }
-            assert!(!cur.shift.get_bit(s), "cluster start {s} marked shifted");
-            let (runs, end) = self.collect_cluster(&mut cur, &mut rem, s);
-            let mut prev_q = None;
-            for run in &runs {
-                assert!(run.quotient <= end, "quotient beyond cluster");
-                if let Some(p) = prev_q {
-                    assert!(run.quotient > p, "runs out of quotient order");
-                }
-                prev_q = Some(run.quotient);
-                let mut prev_r = None;
-                for e in &run.entries {
-                    assert!(e.count >= 1);
-                    if let Some(pr) = prev_r {
-                        assert!(e.remainder > pr, "run remainders out of order");
-                    }
-                    prev_r = Some(e.remainder);
-                    items += e.count as usize;
-                }
+            s += busy.trailing_zeros() as usize;
+            assert!(!cur.cont.get_bit(s), "run start {s} marked as a continuation");
+            let b = self.next_occupied(&mut cur.occ, q_next, s + 1);
+            assert!(b <= s, "run at {s} has no occupied quotient");
+            assert_eq!(s, prev_end.max(b), "run of quotient {b} is not at max(prev end, quotient)");
+            assert_eq!(cur.shift.get_bit(s), s != b, "run start {s} has a wrong shifted bit");
+            let (vals, end) = self.read_run(&mut cur.cont, &mut rem, s);
+            for i in s + 1..end {
+                assert!(cur.shift.get_bit(i), "continuation slot {i} not marked shifted");
             }
+            let entries = decode_run(&vals, r_bits);
+            for pair in entries.windows(2) {
+                assert!(pair[0].remainder < pair[1].remainder, "run remainders out of order");
+            }
+            assert_eq!(encode_run(&entries, r_bits), vals, "run at {s} is not canonically encoded");
+            items += total_count(&entries);
             used += end - s;
-            s = end;
+            runs += 1;
+            (prev_end, q_next, s) = (end, b + 1, end);
         }
+        let occupied = crate::bits::rank_set_swar(&mut cur.occ, 0, n);
+        assert_eq!(occupied, runs, "occupied quotients and runs differ in number");
         assert_eq!(used, self.used_slots(), "used-slot accounting drift");
-        assert_eq!(items, self.items(), "item accounting drift");
+        assert_eq!(items, self.items() as u64, "item accounting drift");
     }
 }
 

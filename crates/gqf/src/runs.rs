@@ -102,27 +102,6 @@ pub fn decode_run(slots: &[u64], r_bits: u32) -> Vec<Entry> {
     entries
 }
 
-/// Number of slots the encoding of `entries` occupies.
-pub fn encoded_len(entries: &[Entry], r_bits: u32) -> usize {
-    let b = base(r_bits);
-    entries
-        .iter()
-        .map(|e| match e.count {
-            1 => 1,
-            2 => 2,
-            c => {
-                let mut l = 0usize;
-                let mut rest = (c - 3) as u128;
-                while rest > 0 {
-                    l += 1;
-                    rest /= b;
-                }
-                4 + l
-            }
-        })
-        .sum()
-}
-
 /// Total count across entries.
 pub fn total_count(entries: &[Entry]) -> u64 {
     entries.iter().map(|e| e.count).sum()
@@ -159,7 +138,6 @@ mod tests {
 
     fn roundtrip(entries: &[Entry], r_bits: u32) {
         let encoded = encode_run(entries, r_bits);
-        assert_eq!(encoded.len(), encoded_len(entries, r_bits));
         let decoded = decode_run(&encoded, r_bits);
         assert_eq!(decoded, entries, "r_bits {r_bits} encoded {encoded:?}");
     }

@@ -1,11 +1,11 @@
 //! Property tests for the GQF: counter-encoding round trips, model-based
 //! upsert/delete/query equivalence, and structural invariants.
 
-use gqf::runs::{decode_run, encode_run, encoded_len, Entry};
-use gqf::{GqfCore, Layout};
+use gqf::runs::{decode_run, encode_run, Entry};
+use gqf::{GqfCore, Layout, REGION_SLOTS};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Strategy: a sorted run of entries with strictly ascending remainders.
 fn entries_strategy(r_bits: u32, max_len: usize) -> impl Strategy<Value = Vec<Entry>> {
@@ -17,13 +17,96 @@ fn entries_strategy(r_bits: u32, max_len: usize) -> impl Strategy<Value = Vec<En
     })
 }
 
+/// Quotient bits of the delete test's table: two 8192-slot regions, so a
+/// window can straddle the region boundary, plus the spill pad.
+const DELETE_Q_BITS: u32 = 14;
+
+/// Quotients per window: narrow enough that its runs pack into
+/// multi-run clusters.
+const WINDOW: usize = 24;
+
+/// First quotient of each window: one away from every edge, one across
+/// the region boundary, and one ending at the last canonical quotient,
+/// whose clusters spill into the pad.
+const WINDOWS: [usize; 3] = [1_000, REGION_SLOTS - WINDOW / 2, (1 << DELETE_Q_BITS) - WINDOW];
+
+/// One step of the delete property test. Remainders are drawn from a
+/// small range so runs hold several entries and deletes often miss.
+#[derive(Debug, Clone)]
+enum DeleteOp {
+    /// Upsert `count` copies of `(WINDOWS[window] + offset, r)`.
+    Insert { window: usize, offset: usize, r: u64, count: u64 },
+    /// Delete `delta` copies of `(WINDOWS[window] + offset, r)`, present
+    /// or not.
+    Delete { window: usize, offset: usize, r: u64, delta: u64 },
+    /// Delete `extra` more copies than the `pick`-th live entry holds.
+    Overdelete { pick: usize, extra: u64 },
+    /// Delete a remainder absent from the `pick`-th live entry's
+    /// (occupied) quotient.
+    AbsentInOccupied { pick: usize },
+    /// Upsert 4 copies, then delete every copy one at a time: the
+    /// encoding shrinks through 5, 4, 2 and 1 slots to none.
+    StepDown { window: usize, offset: usize, r: u64 },
+}
+
+fn delete_op() -> impl Strategy<Value = DeleteOp> {
+    let at = || (0usize..WINDOWS.len(), 0usize..WINDOW, 0u64..12);
+    let insert = || {
+        (at(), 1u64..6).prop_map(|((window, offset, r), count)| DeleteOp::Insert {
+            window,
+            offset,
+            r,
+            count,
+        })
+    };
+    // Arms are picked uniformly; inserts get two so clusters build up
+    // faster than the deletes drain them.
+    prop_oneof![
+        insert(),
+        insert(),
+        (at(), 1u64..3).prop_map(|((window, offset, r), delta)| DeleteOp::Delete {
+            window,
+            offset,
+            r,
+            delta
+        }),
+        (any::<usize>(), 1u64..4).prop_map(|(pick, extra)| DeleteOp::Overdelete { pick, extra }),
+        any::<usize>().prop_map(|pick| DeleteOp::AbsentInOccupied { pick }),
+        at().prop_map(|(window, offset, r)| DeleteOp::StepDown { window, offset, r }),
+    ]
+}
+
+/// Delete `delta` copies of `(q, r)` from `core` and from `model`; assert
+/// the outcome, the canonical layout, and the remaining count.
+fn delete_checked(
+    core: &GqfCore,
+    model: &mut BTreeMap<(usize, u64), u64>,
+    q: usize,
+    r: u64,
+    delta: u64,
+) {
+    let present = model.get(&(q, r)).copied().unwrap_or(0);
+    assert_eq!(core.delete(q, r, delta).unwrap(), present > 0, "delete q={q} r={r}");
+    core.check_invariants();
+    if present > delta {
+        model.insert((q, r), present - delta);
+    } else {
+        model.remove(&(q, r));
+    }
+    assert_eq!(core.query(q, r), present.saturating_sub(delta), "count q={q} r={r}");
+}
+
+/// The `pick`-th live entry, if any.
+fn live_entry(model: &BTreeMap<(usize, u64), u64>, pick: usize) -> Option<((usize, u64), u64)> {
+    model.iter().nth(pick % model.len().max(1)).map(|(&k, &c)| (k, c))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
     fn encode_decode_roundtrip_8bit(entries in entries_strategy(8, 20)) {
         let encoded = encode_run(&entries, 8);
-        prop_assert_eq!(encoded.len(), encoded_len(&entries, 8));
         prop_assert_eq!(decode_run(&encoded, 8), entries);
     }
 
@@ -85,6 +168,55 @@ proptest! {
         }
         let total: u64 = model.values().sum();
         prop_assert_eq!(core.items() as u64, total);
+    }
+
+    /// Deletes leave the canonical layout `check_invariants` asserts —
+    /// checked after every delete — and exact counts, in dense multi-run
+    /// clusters, across the region boundary, in the spill pad, while
+    /// counter encodings shrink, for absent remainders in occupied
+    /// quotients, and when `delta` exceeds the count.
+    #[test]
+    fn deletes_keep_canonical_layout_and_counts(ops in vec(delete_op(), 1..120)) {
+        let core = GqfCore::new(Layout::new(DELETE_Q_BITS, 8).unwrap());
+        let mut model: BTreeMap<(usize, u64), u64> = BTreeMap::new();
+        for op in ops {
+            match op {
+                DeleteOp::Insert { window, offset, r, count } => {
+                    let q = WINDOWS[window] + offset;
+                    core.upsert(q, r, count).unwrap();
+                    *model.entry((q, r)).or_default() += count;
+                }
+                DeleteOp::Delete { window, offset, r, delta } => {
+                    delete_checked(&core, &mut model, WINDOWS[window] + offset, r, delta);
+                }
+                DeleteOp::Overdelete { pick, extra } => {
+                    if let Some(((q, r), count)) = live_entry(&model, pick) {
+                        delete_checked(&core, &mut model, q, r, count + extra);
+                    }
+                }
+                DeleteOp::AbsentInOccupied { pick } => {
+                    if let Some(((q, _), _)) = live_entry(&model, pick) {
+                        let r = (0..).find(|&r| !model.contains_key(&(q, r))).unwrap();
+                        let items = core.items();
+                        delete_checked(&core, &mut model, q, r, 1);
+                        prop_assert_eq!(core.items(), items);
+                    }
+                }
+                DeleteOp::StepDown { window, offset, r } => {
+                    let q = WINDOWS[window] + offset;
+                    let before = model.get(&(q, r)).copied().unwrap_or(0);
+                    core.upsert(q, r, 4).unwrap();
+                    model.insert((q, r), before + 4);
+                    for _ in 0..before + 4 {
+                        delete_checked(&core, &mut model, q, r, 1);
+                    }
+                }
+            }
+        }
+        for (&(q, r), &want) in &model {
+            prop_assert_eq!(core.query(q, r), want);
+        }
+        prop_assert_eq!(core.items() as u64, model.values().sum::<u64>());
     }
 
     /// Enumeration returns exactly the stored multiset.
