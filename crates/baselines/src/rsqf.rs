@@ -9,10 +9,11 @@
 //! orders of magnitude behind the other filters in Fig. 4.
 //!
 //! The occupied/runend metadata scans live in [`GqfCore`], which this
-//! baseline shares with the GQF/SQF: under the `swar` switch those walks
-//! run word-at-a-time (`count_ones` rank + select-in-word) via the
-//! scalar/SWAR twins in `gqf::bits`, so the RSQF inherits the
-//! branch-light path without any code of its own.
+//! baseline shares with the GQF/SQF: they run word-at-a-time
+//! (`count_ones` rank, `trailing_zeros` select) via the walks in
+//! `gqf::bits`, so the RSQF gets its rank-select lookups without any code
+//! of its own. At 13-bit remainders its slot stores are owner stores; at
+//! 5 bits a remainder word spans two regions and each store is a CAS.
 
 use filter_core::{
     ApiMode, BulkFilter, Features, FilterError, FilterMeta, FilterSpec, InsertOutcome, Operation,

@@ -9,7 +9,7 @@
 //! cargo run --release -p bench --bin fig3_point -- --smoke   # CI scale
 //! ```
 
-use bench::{measure_point, parse_args, Json, Probe, Trajectory};
+use bench::{measure_point, parse_args, Probe, Trajectory};
 use filter_core::{hashed_keys, FilterKind, FilterSpec};
 use gpu_filters::build_filter;
 use gpu_sim::Device;
@@ -93,98 +93,6 @@ fn main() {
             traj.push_all(rows);
         }
     }
-
-    // SWAR sweep: the same point kernels with the word-at-a-time scan
-    // twins toggled off (scalar reference) and on, at the largest sweep
-    // size on the primary (Cori) device. Rows carry a `swar` metric of
-    // 0.0/1.0; readers diff the pos-query rows per kind for the measured
-    // speedup. Each kind's random-probe hit count is asserted identical
-    // across arms — the SWAR kernels must not change the false-positive
-    // set. (The BBF has no dispatched kernel — its block test is already
-    // a single mask comparison — so its pair doubles as a control.)
-    let swar_kinds: [(FilterKind, u32, f64); 3] = [
-        (FilterKind::TcfPoint, 4, 5e-4),
-        (FilterKind::GqfPoint, 1, 4e-3),
-        (FilterKind::BlockedBloom, 1, 4.4e-2),
-    ];
-    let s = *args.sizes_log2.iter().max().expect("at least one size");
-    let slots = 1usize << s;
-    let n = (slots as f64 * 0.89) as usize;
-    let keys = hashed_keys(1000 + s as u64, n);
-    let fresh = hashed_keys(2000 + s as u64, n);
-    for (kind, cg, eps) in swar_kinds {
-        let spec = FilterSpec::items(n as u64).fp_rate(eps);
-        let mut rand_hits = [0usize; 2];
-        for on in [false, true] {
-            gpu_sim::swar::set_enabled(on);
-            let swar_flag = f64::from(u8::from(on));
-            let build = || {
-                build_filter(kind, &spec)
-                    .unwrap_or_else(|e| panic!("swar-sweep build {kind} at 2^{s}: {e}"))
-            };
-            let sample = build();
-            let label = format!("{}/swar{}", sample.name(), u8::from(on));
-            let probe = Probe::new(&label, kind.name(), "insert", s, n as u64)
-                .cg(cg)
-                .footprint(sample.table_bytes() as u64)
-                .spec(&spec);
-            drop(sample);
-
-            let fails = AtomicU64::new(0);
-            let (rows, f) = measure_point(&[&cori], &args, &probe, build, |f, i| {
-                if f.insert(keys[i]).is_err() {
-                    fails.fetch_add(1, Ordering::Relaxed);
-                }
-            });
-            traj.push_all(rows.into_iter().map(|r| r.metric("swar", swar_flag)).collect());
-            assert_eq!(fails.load(Ordering::Relaxed), 0, "{label} insert failures at 2^{s}");
-
-            let gqf = f.as_any().downcast_ref::<gqf::PointGqf>();
-            let (rows, _) = measure_point(
-                &[&cori],
-                &args,
-                &probe.with_op("pos-query"),
-                || (),
-                |_, i| match gqf {
-                    Some(g) => assert!(g.count_unlocked(keys[i]) > 0),
-                    None => assert!(f.contains(keys[i]).unwrap()),
-                },
-            );
-            traj.push_all(rows.into_iter().map(|r| r.metric("swar", swar_flag)).collect());
-            let (rows, _) = measure_point(
-                &[&cori],
-                &args,
-                &probe.with_op("rand-query"),
-                || (),
-                |_, i| match gqf {
-                    Some(g) => {
-                        std::hint::black_box(g.count_unlocked(fresh[i]));
-                    }
-                    None => {
-                        std::hint::black_box(f.contains(fresh[i]).unwrap());
-                    }
-                },
-            );
-            traj.push_all(rows.into_iter().map(|r| r.metric("swar", swar_flag)).collect());
-
-            rand_hits[usize::from(on)] = fresh
-                .iter()
-                .filter(|&&k| match gqf {
-                    Some(g) => g.count_unlocked(k) > 0,
-                    None => f.contains(k).unwrap(),
-                })
-                .count();
-        }
-        assert_eq!(
-            rand_hits[0], rand_hits[1],
-            "{kind}: SWAR arm changed the false-positive set at 2^{s}"
-        );
-    }
-    gpu_sim::swar::set_enabled(cfg!(feature = "swar"));
-    traj.set_extra(
-        "swar_sweep",
-        Json::Arr(swar_kinds.iter().map(|(k, _, _)| Json::str(k.name())).collect()),
-    );
 
     traj.write(&args);
 }

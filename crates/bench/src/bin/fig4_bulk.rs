@@ -161,70 +161,5 @@ fn main() {
         Json::Arr(threads_sweep.iter().map(|&t| Json::num(f64::from(t))).collect()),
     );
 
-    // SWAR sweep: the same bulk batch with the word-at-a-time scan twins
-    // toggled off (scalar reference) and on, at the largest sweep size on
-    // the primary (Cori) device. Rows carry a `swar` metric of 0.0/1.0;
-    // readers diff the insert/pos-query rows per kind for the measured
-    // speedup. Each kind's random-probe hit count is asserted identical
-    // across arms — the SWAR kernels must not change the false-positive
-    // set. (The RSQF rides on the GqfCore metadata walks.)
-    let swar_kinds: [(FilterKind, f64); 3] =
-        [(FilterKind::TcfBulk, 4e-3), (FilterKind::GqfBulk, 4e-3), (FilterKind::Rsqf, 4e-2)];
-    let fresh = hashed_keys(2100 + s as u64, n);
-    for (kind, eps) in swar_kinds {
-        let spec = FilterSpec::items(n as u64).fp_rate(eps);
-        let mut rand_hits = [0usize; 2];
-        for on in [false, true] {
-            gpu_sim::swar::set_enabled(on);
-            let swar_flag = f64::from(u8::from(on));
-            let build = || build_filter(kind, &spec);
-            let sample =
-                build().unwrap_or_else(|e| panic!("swar-sweep build {kind} at 2^{s}: {e}"));
-            let label = format!("{}@cori/swar{}", sample.name(), u8::from(on));
-            let probe = Probe::new(&label, kind.name(), "insert", s, n as u64)
-                .footprint(sample.table_bytes() as u64)
-                .active_threads(active_threads(kind, &sample))
-                .spec(&spec);
-            drop(sample);
-
-            let (row, f) = measure_bulk(
-                &cori,
-                &args,
-                &probe,
-                || build().expect("built once already"),
-                |f| {
-                    assert_eq!(f.bulk_insert(&keys).unwrap(), 0, "{label} failures at 2^{s}");
-                },
-            );
-            traj.push(row.metric("swar", swar_flag));
-
-            let query_probe = probe.with_op("pos-query").active_threads(n as u64);
-            let (row, out) = measure_bulk(
-                &cori,
-                &args,
-                &query_probe,
-                || vec![false; n],
-                |out| {
-                    f.bulk_query(&keys, out).unwrap();
-                },
-            );
-            traj.push(row.metric("swar", swar_flag));
-            assert!(out.iter().all(|&x| x), "{label} lost keys at 2^{s}");
-
-            let mut rand_out = vec![false; n];
-            f.bulk_query(&fresh, &mut rand_out).unwrap();
-            rand_hits[usize::from(on)] = rand_out.iter().filter(|&&x| x).count();
-        }
-        assert_eq!(
-            rand_hits[0], rand_hits[1],
-            "{kind}: SWAR arm changed the false-positive set at 2^{s}"
-        );
-    }
-    gpu_sim::swar::set_enabled(cfg!(feature = "swar"));
-    traj.set_extra(
-        "swar_sweep",
-        Json::Arr(swar_kinds.iter().map(|(k, _)| Json::str(k.name())).collect()),
-    );
-
     traj.write(&args);
 }

@@ -260,33 +260,6 @@ fn reader_rejects_unversioned_documents() {
     assert!(Trajectory::from_json(&doc).is_err());
 }
 
-/// The PR 9 acceptance contract: fig3 and fig4 must record a
-/// scalar-vs-SWAR sweep — both arms (metric `swar` = 0 and 1) for at
-/// least three filter kinds, plus the `swar_sweep` extra naming them.
-#[test]
-fn fig3_and_fig4_record_a_swar_sweep() {
-    for figure in ["fig3", "fig4"] {
-        let path = experiments_dir().join(format!("BENCH_{figure}.json"));
-        let traj = Trajectory::read(&path).unwrap_or_else(|e| panic!("{e}"));
-        let mut arms: std::collections::BTreeMap<&str, [bool; 2]> = Default::default();
-        for row in &traj.rows {
-            if let Some(v) = row.get_metric("swar") {
-                arms.entry(&row.kind).or_default()[usize::from(v >= 0.5)] = true;
-            }
-        }
-        let complete: Vec<&str> =
-            arms.iter().filter(|(_, a)| a[0] && a[1]).map(|(k, _)| *k).collect();
-        assert!(
-            complete.len() >= 3,
-            "{figure}: need scalar+SWAR row pairs for >= 3 kinds, got {arms:?}"
-        );
-        assert!(
-            traj.extra.iter().any(|(k, _)| k == "swar_sweep"),
-            "{figure}: missing swar_sweep extra"
-        );
-    }
-}
-
 /// The PR 10 acceptance contract: the skew trajectory must record a
 /// base arm and fast arms per Zipf coefficient, show ≥ 2× fast-path
 /// query throughput at Zipf 1.5, and hold uniform keys within 5% of the
@@ -355,12 +328,12 @@ fn skew_trajectory_records_fast_path_acceptance() {
     }
 }
 
-/// Shape assertion riding the same contract: the paper's bulk-beats-point
-/// ordering must survive the SWAR pass. Compared on the modeled
-/// (transaction-priced) throughput of the canonical sweep rows — wall
-/// time on the simulator host is not the figure's claim — with a small
-/// tolerance because the GQF's point and bulk query paths price within a
-/// fraction of a percent of each other at the smallest sizes.
+/// Shape assertion: the paper's bulk-beats-point ordering. Compared on
+/// the modeled (transaction-priced) throughput of the canonical sweep
+/// rows — wall time on the simulator host is not the figure's claim —
+/// with a small tolerance because the GQF's point and bulk query paths
+/// price within a fraction of a percent of each other at the smallest
+/// sizes.
 #[test]
 fn bulk_query_keeps_pace_with_point_query() {
     let f3 = Trajectory::read(&experiments_dir().join("BENCH_fig3.json")).unwrap();
@@ -372,7 +345,6 @@ fn bulk_query_keeps_pace_with_point_query() {
                 m.kind == kind
                     && m.op == "pos-query"
                     && m.label.contains(device)
-                    && m.get_metric("swar").is_none()
                     && m.get_metric("threads").is_none()
             })
             .max_by_key(|m| m.size_log2)

@@ -37,7 +37,6 @@ pub mod profile;
 pub mod shadow;
 pub mod shared;
 pub mod sort;
-pub mod swar;
 pub mod warp;
 
 pub use exec::{Device, KernelStats};

@@ -143,19 +143,30 @@ impl GpuBuffer {
     }
 
     /// Read the entire 64-bit backing word containing `slot`, without
-    /// traffic accounting (callers price it at line granularity, like
-    /// [`crate::swar`]'s word-at-a-time scans). The low bit of the result
-    /// is the word's first slot. Records the whole word's slot range in
-    /// the shadow logs; for 1-bit metadata buffers whose regions are
-    /// multiples of 64 slots this never widens a read set across a region
-    /// boundary.
+    /// traffic accounting (callers price it at line granularity, like the
+    /// GQF's word-at-a-time metadata walks). The low bit of the result is
+    /// the word's first slot. Records the whole word's slot range in the
+    /// shadow logs; for 1-bit metadata buffers whose regions are multiples
+    /// of 64 slots this never widens a read set across a region boundary.
     #[inline]
     pub fn read_word_free(&self, slot: usize) -> u64 {
         let (word, _) = self.locate(slot);
-        let lo = word * self.slots_per_word;
-        let hi = ((word + 1) * self.slots_per_word).min(self.len);
+        let (lo, hi) = self.word_slots(word);
         crate::shadow::record(self.shadow_id, lo, hi, false);
         self.words[word].load(Ordering::Acquire)
+    }
+
+    /// Slots packed into each 64-bit backing word (`64 / elem_bits`).
+    #[inline]
+    pub fn slots_per_word(&self) -> usize {
+        self.slots_per_word
+    }
+
+    /// Slot range `[lo, hi)` of backing word `word`, clamped to the buffer.
+    #[inline(always)]
+    fn word_slots(&self, word: usize) -> (usize, usize) {
+        let lo = word * self.slots_per_word;
+        (lo, (lo + self.slots_per_word).min(self.len))
     }
 
     /// Non-atomic store of a slot (counts one line store). Implemented as a
@@ -167,14 +178,45 @@ impl GpuBuffer {
         self.write_free(slot, value);
     }
 
-    /// Store without traffic accounting (for coalesced writers that count
-    /// a whole line at once).
+    /// Store without traffic accounting (for writers that count whole
+    /// lines themselves). A compare-and-swap loop on the backing word, so a
+    /// concurrent writer of another slot in the same word is never lost:
+    /// the store for callers that share words with other writers.
     #[inline]
     pub fn write_free(&self, slot: usize, value: u64) {
         crate::shadow::record(self.shadow_id, slot, slot + 1, true);
         let (word, off) = self.locate(slot);
+        self.cas_bits(word, self.mask() << off, value << off);
+    }
+
+    /// Owner store without traffic accounting: one load and one plain
+    /// store of the backing word, no compare-and-swap.
+    ///
+    /// Only for a caller that is the sole writer of **every** slot in the
+    /// word holding `slot` while it writes — e.g. a GQF region owner when
+    /// [`Self::slots_per_word`] divides the region size, so no word spans
+    /// two owners. The word's other slots then cannot change between the
+    /// load and the store, and the outcome equals [`Self::write_free`]'s;
+    /// a concurrent writer of a neighbouring slot would lose its update.
+    /// Under `race-check` the whole word is logged as written, so the
+    /// sanitizer flags any other worker that touches it.
+    #[inline]
+    pub fn write_owned(&self, slot: usize, value: u64) {
+        let (word, off) = self.locate(slot);
+        let (lo, hi) = self.word_slots(word);
+        crate::shadow::record(self.shadow_id, lo, hi, true);
         let mask = self.mask() << off;
-        let v = (value << off) & mask;
+        let w = &self.words[word];
+        let cur = w.load(Ordering::Relaxed);
+        w.store((cur & !mask) | ((value << off) & mask), Ordering::Release);
+    }
+
+    /// Replace the bits under `mask` in backing word `word` with `bits`
+    /// (pre-shifted; masked here) in one CAS loop, preserving every other
+    /// bit against concurrent writers.
+    #[inline(always)]
+    fn cas_bits(&self, word: usize, mask: u64, bits: u64) {
+        let v = bits & mask;
         let w = &self.words[word];
         let mut cur = w.load(Ordering::Relaxed);
         loop {
@@ -310,41 +352,39 @@ impl GpuBuffer {
     /// Coalesced write of `values` into slots `[start, start + values.len())`.
     /// Counts one line store per distinct line (the 128-byte cache-wide
     /// coalesced write of the bulk TCF).
+    ///
+    /// Each backing word that lies wholly inside the span is packed and
+    /// stored once: the span's writer owns all of its slots. An edge word
+    /// the span shares with outside slots gets one masked CAS, so a
+    /// concurrent writer of those slots is preserved. Per slot the outcome
+    /// equals [`Self::write_free`] of each value in turn.
     pub fn write_span_coalesced(&self, start: usize, values: &[u64]) {
         if values.is_empty() {
             return;
         }
+        let end = start + values.len();
         let (w0, _) = self.locate(start);
-        let (w1, _) = self.locate(start + values.len() - 1);
+        let (w1, _) = self.locate(end - 1);
         let lines = w1 / WORDS_PER_LINE - w0 / WORDS_PER_LINE + 1;
         bump(Counter::LinesStored, lines as u64);
-        for (i, &v) in values.iter().enumerate() {
-            self.write_free(start + i, v);
-        }
-    }
-
-    /// Hint the hardware prefetcher at the cache line holding `slot` — the
-    /// software prefetch the sorted per-segment apply passes issue once the
-    /// next block's address is known. A pure cache hint: no simulated
-    /// traffic is counted here (the later staged load still pays its
-    /// lines), and on non-x86_64 targets it is a no-op.
-    #[inline]
-    pub fn prefetch(&self, slot: usize) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            let (word, _) = self.locate(slot);
-            // SAFETY: `_mm_prefetch` is a cache hint with no memory side
-            // effects and no validity requirements beyond a dereferenceable
-            // address; the pointer comes from a live borrow of
-            // `self.words[word]`, so it is valid here.
-            unsafe {
-                core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(
-                    self.words[word].as_ptr() as *const i8,
-                );
+        crate::shadow::record(self.shadow_id, start, end, true);
+        let (mask, spw) = (self.mask(), self.slots_per_word);
+        for word in w0..=w1 {
+            let first = word * spw;
+            let (lo, hi) = (first.max(start), (first + spw).min(end));
+            let (mut bits, mut covered) = (0u64, 0u64);
+            let mut off = (lo - first) as u32 * self.elem_bits;
+            for &v in &values[lo - start..hi - start] {
+                bits |= (v & mask) << off;
+                covered |= mask << off;
+                off += self.elem_bits;
+            }
+            if hi - lo == spw {
+                self.words[word].store(bits, Ordering::Release);
+            } else {
+                self.cas_bits(word, covered, bits);
             }
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = slot;
     }
 
     /// Zero every slot (host-side, not counted as kernel traffic).
@@ -426,112 +466,6 @@ impl<'a> SpanView<'a> {
     #[inline]
     pub fn reload(&self, slot: usize) -> u64 {
         self.buf.read_free(slot)
-    }
-
-    // ------------------------------------------------------------------
-    // SWAR word-granular scans (see `crate::swar`). These are the SWAR
-    // twins' data path: one staged-word fetch (and one slot→word locate)
-    // per *word* instead of per slot. All indices are absolute slots, like
-    // [`Self::get`]; results are relative to `start`.
-    // ------------------------------------------------------------------
-
-    /// Walk the buffer-word-aligned windows covering `[start, start + n)`.
-    /// Each window is handed to `f` as `(index of its first slot relative
-    /// to start, staged word shifted so that slot occupies lane 0, number
-    /// of covered lanes)`; `f` returns `Some(i)` (lane index within the
-    /// window) to stop early. Bits above the covered lanes are neighbor or
-    /// dead bits — kernels must pass the lane count through.
-    #[inline]
-    fn scan_words<F: FnMut(usize, u64, u32) -> Option<u32>>(
-        &self,
-        start: usize,
-        n: usize,
-        mut f: F,
-    ) -> Option<usize> {
-        let mut done = 0usize;
-        while done < n {
-            let (word, off) = self.buf.locate(start + done);
-            let lane0 = (off / self.buf.elem_bits) as usize;
-            let lanes = (self.buf.slots_per_word - lane0).min(n - done) as u32;
-            let w = self.words.get(word - self.first_word) >> off;
-            if let Some(i) = f(done, w, lanes) {
-                return Some(done + i as usize);
-            }
-            done += lanes as usize;
-        }
-        None
-    }
-
-    /// Bitmask over the `n <= 64` slots `[start, start + n)`: bit i set iff
-    /// slot `start + i` equals `value`. SWAR twin of a per-slot equality
-    /// ballot.
-    pub fn eq_mask(&self, start: usize, n: usize, value: u64) -> u64 {
-        debug_assert!(n <= 64);
-        let w = self.buf.elem_bits;
-        let mut mask = 0u64;
-        self.scan_words(start, n, |base, word, lanes| {
-            mask |= crate::swar::eq_lanes(word, value, w, lanes) << base;
-            None
-        });
-        mask
-    }
-
-    /// Bitmask over `n <= 64` slots: bit i set iff slot `start + i` holds a
-    /// value `<= 1` (the TCF's EMPTY/TOMBSTONE free-slot predicate).
-    pub fn free_mask(&self, start: usize, n: usize) -> u64 {
-        debug_assert!(n <= 64);
-        let w = self.buf.elem_bits;
-        let mut mask = 0u64;
-        self.scan_words(start, n, |base, word, lanes| {
-            mask |= crate::swar::le_one_lanes(word, w, lanes) << base;
-            None
-        });
-        mask
-    }
-
-    /// Slots (lanes) per backing word of the underlying buffer — the
-    /// window size at which word-granular scans resolve. Kernels that
-    /// bisect before scanning use this to stop the bisection one word out.
-    pub fn slots_per_word(&self) -> usize {
-        self.buf.slots_per_word
-    }
-
-    /// Index (relative to `start`) of the first slot equal to `value` in
-    /// `[start, start + n)`, or `None`. Word-at-a-time with early exit —
-    /// the existence probe for hit-heavy query paths, where building the
-    /// full [`Self::eq_mask`] would scan past the first match.
-    pub fn find_eq(&self, start: usize, n: usize, value: u64) -> Option<usize> {
-        let w = self.buf.elem_bits;
-        self.scan_words(start, n, |_, word, lanes| {
-            let m = crate::swar::eq_lanes(word, value, w, lanes);
-            (m != 0).then(|| m.trailing_zeros())
-        })
-    }
-
-    /// Index (relative to `start`) of the first zero slot in
-    /// `[start, start + n)`, or `None`. Word-at-a-time; `n` may exceed 64.
-    pub fn find_zero(&self, start: usize, n: usize) -> Option<usize> {
-        let w = self.buf.elem_bits;
-        self.scan_words(start, n, |_, word, lanes| {
-            let z = crate::swar::zero_lanes(word, w, lanes);
-            (z != 0).then(|| z.trailing_zeros())
-        })
-    }
-
-    /// For a span whose `[start, start + n)` slots are sorted ascending:
-    /// the index (relative to `start`) of the first slot `>= value`, i.e.
-    /// the lower bound. Word-at-a-time with early exit; `n` may exceed 64.
-    pub fn lower_bound_sorted(&self, start: usize, n: usize, value: u64) -> usize {
-        let w = self.buf.elem_bits;
-        let target = crate::swar::broadcast(value, w);
-        self.scan_words(start, n, |_, word, lanes| {
-            let lt = crate::swar::lt_lanes(word, target, w, lanes);
-            let full = if lanes == 64 { u64::MAX } else { (1u64 << lanes) - 1 };
-            // Sorted lanes: `lt` is a contiguous low prefix; stop at the
-            // first lane that is not below `value`.
-            (lt != full).then(|| (!lt & full).trailing_zeros())
-        })
-        .unwrap_or(n)
     }
 }
 
@@ -652,6 +586,89 @@ mod tests {
         }
     }
 
+    /// Deterministic xorshift, so the tests need no RNG plumbing.
+    fn xorshift(mut s: u64) -> impl FnMut() -> u64 {
+        move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        }
+    }
+
+    #[test]
+    fn coalesced_span_matches_per_slot_writes() {
+        let mut next = xorshift(0xD1B5_4A32_D192_ED03);
+        for bits in [1u32, 5, 8, 12, 13, 16, 32, 64] {
+            let len = 600;
+            let (span, reference) = (GpuBuffer::new(len, bits), GpuBuffer::new(len, bits));
+            for i in 0..len {
+                let v = next();
+                span.write_free(i, v);
+                reference.write_free(i, v);
+            }
+            // Unaligned starts and ends, single-word spans, spans ending
+            // on the buffer's last slot, and one covering all of it.
+            for &(start, n) in
+                &[(0usize, 1usize), (3, 2), (7, 64), (1, 130), (64, 128), (333, 267), (0, len)]
+            {
+                let vals: Vec<u64> = (0..n).map(|_| next()).collect();
+                let lines: std::collections::BTreeSet<usize> =
+                    (start..start + n).map(|s| reference.line_of(s)).collect();
+                let before = metrics::snapshot_current_thread();
+                span.write_span_coalesced(start, &vals);
+                let diff = metrics::snapshot_current_thread().since(&before);
+                for (i, &v) in vals.iter().enumerate() {
+                    reference.write_free(start + i, v);
+                }
+                assert_eq!(span.to_vec(), reference.to_vec(), "bits={bits} start={start} n={n}");
+                assert_eq!(diff.get(Counter::LinesStored), lines.len() as u64, "bits={bits}");
+            }
+        }
+    }
+
+    #[test]
+    fn owner_store_matches_cas_store() {
+        let mut next = xorshift(0x9E37_79B9_7F4A_7C15);
+        for bits in [1u32, 5, 8, 12, 13, 16, 32, 64] {
+            let (owned, cas) = (GpuBuffer::new(300, bits), GpuBuffer::new(300, bits));
+            for _ in 0..1_000 {
+                let (slot, v) = (next() as usize % 300, next());
+                owned.write_owned(slot, v);
+                cas.write_free(slot, v);
+            }
+            assert_eq!(owned.to_vec(), cas.to_vec(), "bits={bits}");
+        }
+    }
+
+    #[test]
+    fn concurrent_spans_sharing_an_edge_word_keep_both_writers_slots() {
+        // 12-bit slots, 5 per word: [0, 7) and [7, 14) share word 1
+        // (slots 5..10), so both writers CAS that edge word every round;
+        // the barrier starts both writers together.
+        let buf = GpuBuffer::new(64, 12);
+        let start = std::sync::Barrier::new(2);
+        let last = |t: u64, round: u64| (round * 2 + t) & 0xFFF;
+        std::thread::scope(|s| {
+            for (t, span) in [(0u64, 0..7usize), (1, 7..14)] {
+                let (buf, start) = (&buf, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for round in 1..=10_000u64 {
+                        let v = last(t, round);
+                        buf.write_span_coalesced(span.start, &vec![v; span.len()]);
+                        for slot in span.clone() {
+                            assert_eq!(buf.read_free(slot), v, "writer {t} lost slot {slot}");
+                        }
+                    }
+                });
+            }
+        });
+        for slot in 0..14 {
+            assert_eq!(buf.read_free(slot), last(u64::from(slot >= 7), 10_000), "slot {slot}");
+        }
+    }
+
     #[test]
     fn concurrent_cas_claims_each_slot_once() {
         use std::sync::Arc;
@@ -700,80 +717,6 @@ mod tests {
         }
         let total: u64 = (0..64).map(|s| buf.read_free(s)).sum();
         assert_eq!(total, 8 * 1000, "no lost updates");
-    }
-
-    #[test]
-    fn span_swar_scans_match_scalar_reference() {
-        // Every SWAR span scan against the per-slot reference, across the
-        // fingerprint widths the filters use, with unaligned starts (a
-        // 12-bit block is not word-aligned) and word-boundary straddles.
-        let mut s = 0xD1B5_4A32_D192_ED03u64;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
-        for bits in [8u32, 12, 16, 32] {
-            let buf = GpuBuffer::new(256, bits);
-            let mask = (1u64 << bits) - 1;
-            for i in 0..256 {
-                // Bias toward small values so EMPTY/TOMBSTONE and
-                // duplicates actually occur.
-                let v = if next() % 3 == 0 { next() % 3 } else { next() & mask };
-                buf.write_free(i, v);
-            }
-            for &(start, n) in &[(0usize, 64usize), (1, 17), (7, 64), (60, 63), (128, 128)] {
-                let view = buf.load_span(start, n);
-                let probe = view.get(start + n / 2);
-                let (mut eq_ref, mut free_ref) = (0u64, 0u64);
-                for i in 0..n.min(64) {
-                    if view.get(start + i) == probe {
-                        eq_ref |= 1 << i;
-                    }
-                    if view.get(start + i) <= 1 {
-                        free_ref |= 1 << i;
-                    }
-                }
-                let m = n.min(64);
-                assert_eq!(view.eq_mask(start, m, probe), eq_ref, "bits={bits} start={start}");
-                assert_eq!(view.free_mask(start, m), free_ref, "bits={bits} start={start}");
-                let zero_ref = (0..n).find(|&i| view.get(start + i) == 0);
-                assert_eq!(view.find_zero(start, n), zero_ref, "bits={bits} start={start}");
-                for needle in [probe, 2, mask] {
-                    let eq_ref = (0..n).find(|&i| view.get(start + i) == needle);
-                    assert_eq!(
-                        view.find_eq(start, n, needle),
-                        eq_ref,
-                        "bits={bits} start={start} needle={needle}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn span_lower_bound_matches_partition_point() {
-        let buf = GpuBuffer::new(256, 12);
-        let mut vals: Vec<u64> = (0..200).map(|i| (i as u64 * 37) % 4096).collect();
-        vals.sort_unstable();
-        for (i, &v) in vals.iter().enumerate() {
-            buf.write_free(i + 3, v); // unaligned start
-        }
-        let view = buf.load_span(3, 200);
-        for probe in [0u64, 1, 36, 37, 38, 2000, 4095] {
-            let expect = vals.partition_point(|&v| v < probe);
-            assert_eq!(view.lower_bound_sorted(3, 200, probe), expect, "probe={probe}");
-        }
-        // All-equal span: lower bound lands on the first duplicate.
-        let dup = GpuBuffer::new(64, 8);
-        for i in 0..64 {
-            dup.write_free(i, 9);
-        }
-        let view = dup.load_span(0, 64);
-        assert_eq!(view.lower_bound_sorted(0, 64, 9), 0);
-        assert_eq!(view.lower_bound_sorted(0, 64, 10), 64);
-        assert_eq!(view.lower_bound_sorted(0, 64, 8), 0);
     }
 
     #[test]

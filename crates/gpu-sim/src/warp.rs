@@ -87,36 +87,6 @@ impl Cg {
         (0..len).find(|&i| pred(i))
     }
 
-    /// Charge the SIMT cost of a ballot over `len` items whose outcome
-    /// bitmask is already known — the metric twin of [`Self::ballot_scan`]
-    /// for SWAR kernels that computed `mask` word-at-a-time. Counts the
-    /// identical `ceil(len / size)` strides and the identical divergent
-    /// windows (a window is divergent iff its mask bits are mixed), so a
-    /// SWAR twin and its scalar reference stay metric-identical.
-    pub fn ballot_charge(&self, len: usize, mask: u64) {
-        assert!(len <= 64, "ballot_charge supports at most 64 items, got {len}");
-        let strides = len.div_ceil(self.size as usize) as u64;
-        bump(Counter::CgSteps, strides);
-        for window in 0..strides as usize {
-            let start = window * self.size as usize;
-            let end = (start + self.size as usize).min(len);
-            let width = end - start;
-            let bits = (mask >> start) & if width == 64 { u64::MAX } else { (1u64 << width) - 1 };
-            if bits != 0 && bits.count_ones() as usize != width {
-                bump(Counter::DivergentBranches, 1);
-            }
-        }
-    }
-
-    /// Charge the SIMT cost of a cooperative strided visit of `len` items —
-    /// the metric twin of [`Self::find_strided`] (whose charges do not
-    /// depend on the predicate outcomes).
-    #[inline]
-    pub fn find_charge(&self, len: usize) {
-        let strides = len.div_ceil(self.size as usize).max(1) as u64;
-        bump(Counter::CgSteps, strides);
-    }
-
     /// One extra cooperative step (leader broadcast, re-ballot, sync).
     #[inline]
     pub fn step(&self) {
@@ -233,36 +203,6 @@ mod tests {
         let _ = cg.ballot_scan(16, |i| i == 12);
         let diff = metrics::snapshot_current_thread().since(&before);
         assert_eq!(diff.get(Counter::DivergentBranches), 1);
-    }
-
-    #[test]
-    fn ballot_charge_matches_ballot_scan_costs() {
-        // For arbitrary predicate outcomes, charging from the mask must
-        // reproduce ballot_scan's stride and divergence counts exactly.
-        let outcomes: [u64; 6] =
-            [0, u64::MAX, 0b1, 0x8000_0000_0000_0000, 0xF0F0_F0F0_F0F0_F0F0, 0x0123_4567_89AB_CDEF];
-        for size in [1u32, 2, 4, 8, 16, 32] {
-            let cg = Cg::new(size);
-            for &mask in &outcomes {
-                for len in [1usize, 7, 16, 31, 64] {
-                    let m = mask & if len == 64 { u64::MAX } else { (1u64 << len) - 1 };
-                    let before = metrics::snapshot_current_thread();
-                    let scanned = cg.ballot_scan(len, |i| m & (1 << i) != 0);
-                    let scan_cost = metrics::snapshot_current_thread().since(&before);
-                    assert_eq!(scanned, m);
-                    let before = metrics::snapshot_current_thread();
-                    cg.ballot_charge(len, m);
-                    let charge_cost = metrics::snapshot_current_thread().since(&before);
-                    for c in [Counter::CgSteps, Counter::DivergentBranches] {
-                        assert_eq!(
-                            scan_cost.get(c),
-                            charge_cost.get(c),
-                            "size={size} len={len} mask={m:#x} {c:?}"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Traffic-tracked access to the GQF's slot array and metadata bitvectors.
+//! Traffic-tracked access to the GQF's slot array and metadata bitvectors,
+//! and the word-at-a-time metadata walks the GQF core runs (§5.1–5.2).
 //!
 //! GQF operations hold exclusive access to their slots (region locks or
 //! even-odd phases), so reads and writes need no per-access atomicity —
@@ -7,7 +8,14 @@
 //! cache line different from the last one it touched, which models the
 //! sequential cluster walks and the custom `memmove` of §5.2 at
 //! cache-line granularity.
+//!
+//! The walks ([`prev_clear`], [`next_clear`], [`next_set`], [`rank_set`],
+//! [`next_empty`]) read a 1-bit metadata vector 64 bits per step and
+//! answer with `count_ones` / `trailing_zeros` / `leading_zeros`, as the
+//! paper's GQF does. Their one-bit-per-step scalar references live only
+//! in this module's tests, which check the two bit-identical.
 
+use crate::layout::REGION_SLOTS;
 use gpu_sim::metrics::{bump, Counter};
 use gpu_sim::GpuBuffer;
 
@@ -18,14 +26,29 @@ pub struct Tracked<'a> {
     buf: &'a GpuBuffer,
     last_read_line: usize,
     last_write_line: usize,
+    /// Stores are owner stores ([`GpuBuffer::write_owned`]); see
+    /// [`words_are_region_owned`].
+    owned: bool,
 }
 
 const NO_LINE: usize = usize::MAX;
 
+/// Whether no backing word of `buf` spans two GQF regions: its slots per
+/// word divide [`REGION_SLOTS`], i.e. are a power of two (the 1-bit
+/// metadata and remainder widths 8, 13, 16, 32 and 64). The core writes a
+/// slot only while it owns the slot's region, so the owner of such a
+/// word's region is its only writer and may store it with
+/// [`GpuBuffer::write_owned`]. Other widths (5, 7, 12 bits) put some word
+/// across a region boundary and keep [`GpuBuffer::write_free`]'s CAS.
+fn words_are_region_owned(buf: &GpuBuffer) -> bool {
+    REGION_SLOTS.is_multiple_of(buf.slots_per_word())
+}
+
 impl<'a> Tracked<'a> {
     /// Wrap a buffer.
     pub fn new(buf: &'a GpuBuffer) -> Self {
-        Tracked { buf, last_read_line: NO_LINE, last_write_line: NO_LINE }
+        let owned = words_are_region_owned(buf);
+        Tracked { buf, last_read_line: NO_LINE, last_write_line: NO_LINE, owned }
     }
 
     /// Read a slot, charging a line load when leaving the cached line.
@@ -39,7 +62,9 @@ impl<'a> Tracked<'a> {
         self.buf.read_free(slot)
     }
 
-    /// Write a slot, charging a line store when leaving the cached line.
+    /// Write a slot, charging a line store when leaving the cached line:
+    /// an owner store when the buffer's words never span two regions,
+    /// else a CAS that preserves a neighbouring region owner's slots.
     #[inline]
     pub fn set(&mut self, slot: usize, value: u64) {
         let line = self.buf.line_of(slot);
@@ -47,7 +72,11 @@ impl<'a> Tracked<'a> {
             bump(Counter::LinesStored, 1);
             self.last_write_line = line;
         }
-        self.buf.write_free(slot, value);
+        if self.owned {
+            self.buf.write_owned(slot, value);
+        } else {
+            self.buf.write_free(slot, value);
+        }
     }
 
     /// Boolean view for 1-bit buffers.
@@ -57,7 +86,7 @@ impl<'a> Tracked<'a> {
     }
 
     /// Read the whole 64-slot backing word containing `slot` (for 1-bit
-    /// buffers: 64 metadata bits at once — the SWAR twins' data path),
+    /// buffers: 64 metadata bits at once — the walks' data path),
     /// charging a line load exactly like a slot read on the same line.
     #[inline]
     pub fn get_word(&mut self, slot: usize) -> u64 {
@@ -131,30 +160,16 @@ pub struct MetaCursor<'a> {
 }
 
 // ----------------------------------------------------------------------
-// Metadata scan twins. Each 1-bit walk the GQF core performs exists as a
-// scalar per-bit reference and a SWAR word-at-a-time twin built on
-// [`Tracked::get_word`] + `count_ones`/`trailing_zeros` rank-select. The
-// twins return bit-identical results; line charges agree except that a
-// SWAR word read may touch a line a short-circuiting scalar walk would
-// have skipped (behavioral identity is the hard contract, metric parity
-// is approximate at the ±1-line level). `GqfCore` dispatches on
-// `gpu_sim::swar::enabled()`; property tests call both directly.
+// Metadata walks. Each reads one 64-bit word per step through
+// [`Tracked::get_word`], so a walk charges the lines it crosses; a word
+// read may touch a line a bit-by-bit walk that stopped early would have
+// skipped (line-count parity with a scalar walk is within ±1 line).
 // ----------------------------------------------------------------------
 
 /// Largest `p <= q` whose bit is *clear*, or 0 when bits `1..=q` are all
 /// set (bit 0 is never consulted in that case — cluster starts clamp to
-/// the table base). Scalar reference: the GQF's backward shifted-bit walk.
-pub fn prev_clear_scalar(t: &mut Tracked<'_>, q: usize) -> usize {
-    let mut i = q;
-    while i > 0 && t.get_bit(i) {
-        i -= 1;
-    }
-    i
-}
-
-/// SWAR twin of [`prev_clear_scalar`]: walk backward one 64-bit word at a
-/// time, selecting the highest clear bit at or below the probe.
-pub fn prev_clear_swar(t: &mut Tracked<'_>, q: usize) -> usize {
+/// the table base): the backward shifted-bit walk to a cluster start.
+pub fn prev_clear(t: &mut Tracked<'_>, q: usize) -> usize {
     let mut base = q & !63;
     let mut off = (q - base) as u32;
     loop {
@@ -172,18 +187,9 @@ pub fn prev_clear_swar(t: &mut Tracked<'_>, q: usize) -> usize {
     }
 }
 
-/// First `i` in `[from, n)` whose bit is *clear*, else `n`. Scalar
-/// reference: the run-end / continuation forward walk.
-pub fn next_clear_scalar(t: &mut Tracked<'_>, from: usize, n: usize) -> usize {
-    let mut i = from;
-    while i < n && t.get_bit(i) {
-        i += 1;
-    }
-    i
-}
-
-/// SWAR twin of [`next_clear_scalar`].
-pub fn next_clear_swar(t: &mut Tracked<'_>, from: usize, n: usize) -> usize {
+/// First `i` in `[from, n)` whose bit is *clear*, else `n`: the run-end /
+/// continuation forward walk.
+pub fn next_clear(t: &mut Tracked<'_>, from: usize, n: usize) -> usize {
     let mut i = from;
     while i < n {
         let base = i & !63;
@@ -199,18 +205,9 @@ pub fn next_clear_swar(t: &mut Tracked<'_>, from: usize, n: usize) -> usize {
     n
 }
 
-/// First `i` in `[from, n)` whose bit is *set*, else `n`. Scalar
-/// reference: the occupied-quotient forward walk.
-pub fn next_set_scalar(t: &mut Tracked<'_>, from: usize, n: usize) -> usize {
-    let mut i = from;
-    while i < n && !t.get_bit(i) {
-        i += 1;
-    }
-    i
-}
-
-/// SWAR twin of [`next_set_scalar`].
-pub fn next_set_swar(t: &mut Tracked<'_>, from: usize, n: usize) -> usize {
+/// First `i` in `[from, n)` whose bit is *set*, else `n`: the
+/// occupied-quotient forward walk.
+pub fn next_set(t: &mut Tracked<'_>, from: usize, n: usize) -> usize {
     let mut i = from;
     while i < n {
         let base = i & !63;
@@ -226,13 +223,8 @@ pub fn next_set_swar(t: &mut Tracked<'_>, from: usize, n: usize) -> usize {
 }
 
 /// Number of set bits in `[lo, hi)` — the rank half of the rank-select
-/// metadata walk. Scalar reference: one bit per step.
-pub fn rank_set_scalar(t: &mut Tracked<'_>, lo: usize, hi: usize) -> usize {
-    (lo..hi).filter(|&i| t.get_bit(i)).count()
-}
-
-/// SWAR twin of [`rank_set_scalar`]: one `count_ones` per word.
-pub fn rank_set_swar(t: &mut Tracked<'_>, lo: usize, hi: usize) -> usize {
+/// metadata walk, one `count_ones` per word.
+pub fn rank_set(t: &mut Tracked<'_>, lo: usize, hi: usize) -> usize {
     let mut count = 0usize;
     let mut i = lo;
     while i < hi {
@@ -246,22 +238,9 @@ pub fn rank_set_swar(t: &mut Tracked<'_>, lo: usize, hi: usize) -> usize {
 }
 
 /// First slot in `[from, n)` with occupied, continuation, and shifted all
-/// clear (the classic quotient-filter emptiness test), else `n`. Scalar
-/// reference replicates the short-circuit of [`Metadata::is_empty_slot`].
-pub fn next_empty_scalar(cur: &mut MetaCursor<'_>, from: usize, n: usize) -> usize {
-    let mut i = from;
-    while i < n {
-        if !cur.occ.get_bit(i) && !cur.cont.get_bit(i) && !cur.shift.get_bit(i) {
-            return i;
-        }
-        i += 1;
-    }
-    n
-}
-
-/// SWAR twin of [`next_empty_scalar`]: OR the three metadata words and
-/// select the first clear bit.
-pub fn next_empty_swar(cur: &mut MetaCursor<'_>, from: usize, n: usize) -> usize {
+/// clear (the classic quotient-filter emptiness test), else `n`: OR the
+/// three metadata words and select the first clear bit.
+pub fn next_empty(cur: &mut MetaCursor<'_>, from: usize, n: usize) -> usize {
     let mut i = from;
     while i < n {
         let base = i & !63;
@@ -289,6 +268,43 @@ mod tests {
     use super::*;
     use gpu_sim::metrics;
 
+    // Scalar references for the word walks: one bit per step.
+
+    fn prev_clear_scalar(t: &mut Tracked<'_>, q: usize) -> usize {
+        let mut i = q;
+        while i > 0 && t.get_bit(i) {
+            i -= 1;
+        }
+        i
+    }
+
+    fn next_clear_scalar(t: &mut Tracked<'_>, from: usize, n: usize) -> usize {
+        let mut i = from;
+        while i < n && t.get_bit(i) {
+            i += 1;
+        }
+        i
+    }
+
+    fn next_set_scalar(t: &mut Tracked<'_>, from: usize, n: usize) -> usize {
+        let mut i = from;
+        while i < n && !t.get_bit(i) {
+            i += 1;
+        }
+        i
+    }
+
+    fn rank_set_scalar(t: &mut Tracked<'_>, lo: usize, hi: usize) -> usize {
+        (lo..hi).filter(|&i| t.get_bit(i)).count()
+    }
+
+    /// Replicates the short-circuit of [`Metadata::is_empty_slot`].
+    fn next_empty_scalar(cur: &mut MetaCursor<'_>, from: usize, n: usize) -> usize {
+        (from..n)
+            .find(|&i| !cur.occ.get_bit(i) && !cur.cont.get_bit(i) && !cur.shift.get_bit(i))
+            .unwrap_or(n)
+    }
+
     #[test]
     fn tracked_roundtrip() {
         let buf = GpuBuffer::new(100, 8);
@@ -296,6 +312,19 @@ mod tests {
         t.set(3, 42);
         assert_eq!(t.get(3), 42);
         assert_eq!(t.get(4), 0);
+    }
+
+    #[test]
+    fn owner_stores_only_where_words_never_span_regions() {
+        // The 1-bit metadata and r = 8, 13, 16, 32, 64 keep every word
+        // inside one region; r = 5, 7, 12 put some word across a boundary
+        // (12 bits: slots 8190 to 8194 share one word), so they keep the CAS.
+        for bits in [1u32, 8, 13, 16, 32, 64] {
+            assert!(words_are_region_owned(&GpuBuffer::new(64, bits)), "r={bits}");
+        }
+        for bits in [5u32, 7, 12] {
+            assert!(!words_are_region_owned(&GpuBuffer::new(64, bits)), "r={bits}");
+        }
     }
 
     #[test]
@@ -336,8 +365,9 @@ mod tests {
         assert_eq!(diff.get(Counter::LinesStored), 1);
     }
 
-    /// Satellite: every metadata scan twin, bit-identical on random bit
-    /// patterns, all-set, all-clear, and word-boundary-straddling probes.
+    /// Every word walk against its scalar reference, bit-identical on
+    /// random bit patterns, all-set, all-clear, and word-boundary-straddling
+    /// probes.
     #[test]
     fn scan_twins_are_bit_identical() {
         let n = 1000; // deliberately not a multiple of 64
@@ -364,24 +394,24 @@ mod tests {
             for &p in &probes {
                 assert_eq!(
                     prev_clear_scalar(&mut t, p),
-                    prev_clear_swar(&mut t, p),
+                    prev_clear(&mut t, p),
                     "prev_clear pat={pi} p={p}"
                 );
                 assert_eq!(
                     next_clear_scalar(&mut t, p, n),
-                    next_clear_swar(&mut t, p, n),
+                    next_clear(&mut t, p, n),
                     "next_clear pat={pi} p={p}"
                 );
                 assert_eq!(
                     next_set_scalar(&mut t, p, n),
-                    next_set_swar(&mut t, p, n),
+                    next_set(&mut t, p, n),
                     "next_set pat={pi} p={p}"
                 );
                 for &q in &probes {
                     if p <= q {
                         assert_eq!(
                             rank_set_scalar(&mut t, p, q),
-                            rank_set_swar(&mut t, p, q),
+                            rank_set(&mut t, p, q),
                             "rank pat={pi} [{p},{q})"
                         );
                     }
@@ -403,7 +433,7 @@ mod tests {
         for from in [0usize, 1, 63, 64, 65, 200, 255] {
             assert_eq!(
                 next_empty_scalar(&mut cur, from, 256),
-                next_empty_swar(&mut cur, from, 256),
+                next_empty(&mut cur, from, 256),
                 "from={from}"
             );
         }
@@ -414,7 +444,7 @@ mod tests {
             cur.occ.set_bit(i, true);
         }
         assert_eq!(next_empty_scalar(&mut cur, 0, 128), 128);
-        assert_eq!(next_empty_swar(&mut cur, 0, 128), 128);
+        assert_eq!(next_empty(&mut cur, 0, 128), 128);
     }
 
     #[test]

@@ -8,7 +8,15 @@
 //! ([`crate::point`]) or by even-odd phase ownership in the bulk API
 //! ([`crate::bulk`]). The core therefore uses tracked (charged) plain
 //! reads/writes rather than per-slot atomics, exactly as the paper's
-//! kernels do once a thread owns a region.
+//! kernels do once a thread owns a region: every write lands in a region
+//! its caller owns, so when a buffer's words never span two regions (the
+//! metadata and every power-of-two remainder width) a store is one load
+//! and one plain store of the word ([`crate::bits::Tracked::set`]); other
+//! widths keep a CAS that preserves the neighbouring owner's slots.
+//!
+//! Cluster starts, run ends, run ranks, occupied-quotient scans and empty
+//! slots are found by the word-at-a-time metadata walks of
+//! [`crate::bits`] — 64 metadata bits per step, as in the paper's GQF.
 //!
 //! Layout invariants (the classic quotient-filter encoding, §5.1):
 //! * items with quotient `q` form a *run* of slots with ascending
@@ -21,7 +29,7 @@
 //! * the layout is canonical: each run starts at max(previous run end,
 //!   quotient), so it depends only on the stored multiset.
 
-use crate::bits::{Metadata, Tracked};
+use crate::bits::{self, Metadata, Tracked};
 use crate::layout::Layout;
 use crate::runs::{decode_run, encode_run, merge_entry, remove_entry, total_count, Entry};
 use filter_core::FilterError;
@@ -106,14 +114,9 @@ impl GqfCore {
     // ------------------------------------------------------------------
 
     /// Start of the cluster covering `q`: the nearest unshifted slot at or
-    /// left of `q`. Dispatches between the scalar backward bit walk and
-    /// the SWAR word-at-a-time twin (`crate::bits`).
+    /// left of `q`.
     fn cluster_start(&self, shift: &mut Tracked<'_>, q: usize) -> usize {
-        if gpu_sim::swar::enabled() {
-            crate::bits::prev_clear_swar(shift, q)
-        } else {
-            crate::bits::prev_clear_scalar(shift, q)
-        }
+        bits::prev_clear(shift, q)
     }
 
     /// Last slot of the run starting at `s`: the slot before the first
@@ -123,11 +126,7 @@ impl GqfCore {
         if s + 1 >= n {
             return s;
         }
-        if gpu_sim::swar::enabled() {
-            crate::bits::next_clear_swar(cont, s + 1, n) - 1
-        } else {
-            crate::bits::next_clear_scalar(cont, s + 1, n) - 1
-        }
+        bits::next_clear(cont, s + 1, n) - 1
     }
 
     /// Start slot of quotient `q`'s run (or where it would begin if `q` is
@@ -140,22 +139,12 @@ impl GqfCore {
         let c0 = self.cluster_start(&mut cur.shift, q);
         // Skip one run per occupied quotient in [c0, q); the cluster's
         // first run always belongs to quotient c0 (a cluster start is an
-        // unshifted run start), so the walk is a simple pairing. The SWAR
-        // twin ranks the occupied bits word-at-a-time and performs the
-        // same number of run-end jumps (the jumps themselves do not
-        // depend on *which* quotient triggered them).
+        // unshifted run start), so the walk is a simple pairing: rank the
+        // occupied bits word-at-a-time, then make that many run-end jumps
+        // (a jump does not depend on *which* quotient triggered it).
         let mut s = c0;
-        if gpu_sim::swar::enabled() {
-            let d = crate::bits::rank_set_swar(&mut cur.occ, c0, q);
-            for _ in 0..d {
-                s = self.run_end(&mut cur.cont, s) + 1;
-            }
-        } else {
-            for b in c0..q {
-                if cur.occ.get_bit(b) {
-                    s = self.run_end(&mut cur.cont, s) + 1;
-                }
-            }
+        for _ in 0..bits::rank_set(&mut cur.occ, c0, q) {
+            s = self.run_end(&mut cur.cont, s) + 1;
         }
         // Robin Hood: a run never starts left of its canonical slot.
         debug_assert!(s >= q || !cur.occ.get_bit(q), "run start {s} left of quotient {q}");
@@ -169,11 +158,7 @@ impl GqfCore {
         from: usize,
     ) -> Result<usize, FilterError> {
         let n = self.layout.physical_slots();
-        let i = if gpu_sim::swar::enabled() {
-            crate::bits::next_empty_swar(cur, from, n)
-        } else {
-            crate::bits::next_empty_scalar(cur, from, n)
-        };
+        let i = bits::next_empty(cur, from, n);
         if i < n {
             Ok(i)
         } else {
@@ -241,16 +226,13 @@ impl GqfCore {
         // Pre-flight: the gap must be coverable by empties inside the
         // owned span, otherwise nothing is moved and the insert fails
         // cleanly (no partial state to roll back).
-        let mut found = 0usize;
-        let mut i = pos;
-        while i < owned_end && found < k {
-            if self.meta.is_empty_slot(cur, i) {
-                found += 1;
+        let mut from = pos;
+        for _ in 0..k {
+            let e = bits::next_empty(cur, from, owned_end);
+            if e == owned_end {
+                return Err(FilterError::Full);
             }
-            i += 1;
-        }
-        if found < k {
-            return Err(FilterError::Full);
+            from = e + 1;
         }
         for step in 0..k {
             let target = pos + step;
@@ -368,11 +350,7 @@ impl GqfCore {
 
     /// First occupied quotient in `[from, to)`, else `to`.
     fn next_occupied(&self, occ: &mut Tracked<'_>, from: usize, to: usize) -> usize {
-        if gpu_sim::swar::enabled() {
-            crate::bits::next_set_swar(occ, from, to)
-        } else {
-            crate::bits::next_set_scalar(occ, from, to)
-        }
+        bits::next_set(occ, from, to)
     }
 
     /// Mark `[from, to)` empty by clearing continuation and shifted bits
@@ -541,7 +519,7 @@ impl GqfCore {
             runs += 1;
             (prev_end, q_next, s) = (end, b + 1, end);
         }
-        let occupied = crate::bits::rank_set_swar(&mut cur.occ, 0, n);
+        let occupied = bits::rank_set(&mut cur.occ, 0, n);
         assert_eq!(occupied, runs, "occupied quotients and runs differ in number");
         assert_eq!(used, self.used_slots(), "used-slot accounting drift");
         assert_eq!(items, self.items() as u64, "item accounting drift");

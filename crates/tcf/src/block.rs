@@ -30,60 +30,17 @@ impl BlockFill {
     }
 }
 
-// ----------------------------------------------------------------------
-// Ballot twins. Each cooperative ballot exists twice: a scalar per-slot
-// reference scan and a SWAR word-at-a-time twin (`gpu_sim::swar`). The
-// twins are bit-identical in result and charge identical SIMT costs
-// (`Cg::ballot_charge` replays the stride/divergence accounting from the
-// mask); `gpu_sim::swar::enabled()` picks the twin on the hot paths, and
-// the property tests below call both directly.
-// ----------------------------------------------------------------------
-
-/// Scalar reference ballot for free (empty-or-tombstone) slots.
-pub fn free_ballot_scalar(view: &SpanView<'_>, cg: &Cg, start: usize, slots: usize) -> u64 {
+/// Ballot for free (empty-or-tombstone) slots.
+fn free_ballot(view: &SpanView<'_>, cg: &Cg, start: usize, slots: usize) -> u64 {
     cg.ballot_scan(slots, |i| {
         let v = view.get(start + i);
         v == EMPTY || v == TOMBSTONE
     })
 }
 
-/// SWAR twin of [`free_ballot_scalar`]: one `le_one_lanes` per staged
-/// word (EMPTY = 0, TOMBSTONE = 1, so "free" is exactly "value <= 1").
-pub fn free_ballot_swar(view: &SpanView<'_>, cg: &Cg, start: usize, slots: usize) -> u64 {
-    let mask = view.free_mask(start, slots);
-    cg.ballot_charge(slots, mask);
-    mask
-}
-
-/// Scalar reference ballot for slots equal to `fp`.
-pub fn eq_ballot_scalar(view: &SpanView<'_>, cg: &Cg, start: usize, slots: usize, fp: u64) -> u64 {
-    cg.ballot_scan(slots, |i| view.get(start + i) == fp)
-}
-
-/// SWAR twin of [`eq_ballot_scalar`]: broadcast-XOR + exact zero-lane
-/// detection per staged word.
-pub fn eq_ballot_swar(view: &SpanView<'_>, cg: &Cg, start: usize, slots: usize, fp: u64) -> u64 {
-    let mask = view.eq_mask(start, slots, fp);
-    cg.ballot_charge(slots, mask);
-    mask
-}
-
-#[inline]
-fn free_ballot(view: &SpanView<'_>, cg: &Cg, start: usize, slots: usize) -> u64 {
-    if gpu_sim::swar::enabled() {
-        free_ballot_swar(view, cg, start, slots)
-    } else {
-        free_ballot_scalar(view, cg, start, slots)
-    }
-}
-
-#[inline]
+/// Ballot for slots equal to `fp`.
 fn eq_ballot(view: &SpanView<'_>, cg: &Cg, start: usize, slots: usize, fp: u64) -> u64 {
-    if gpu_sim::swar::enabled() {
-        eq_ballot_swar(view, cg, start, slots, fp)
-    } else {
-        eq_ballot_scalar(view, cg, start, slots, fp)
-    }
+    cg.ballot_scan(slots, |i| view.get(start + i) == fp)
 }
 
 /// Stage a block and measure its fill. One span load; the scan itself is
@@ -142,16 +99,7 @@ pub fn block_insert(table: &GpuBuffer, cg: &Cg, start: usize, slots: usize, fp: 
 /// for `fp`.
 pub fn block_query(table: &GpuBuffer, cg: &Cg, start: usize, slots: usize, fp: u64) -> bool {
     let view = table.load_span(start, slots);
-    if gpu_sim::swar::enabled() {
-        // `find_strided`'s charges do not depend on the predicate
-        // outcomes, so the SWAR twin replays them exactly. `find_eq`
-        // stops at the first matching word — the hit-heavy path must
-        // not scan the rest of the block just to build a full mask.
-        cg.find_charge(slots);
-        view.find_eq(start, slots, fp).is_some()
-    } else {
-        cg.find_strided(slots, |i| view.get(start + i) == fp).is_some()
-    }
+    cg.find_strided(slots, |i| view.get(start + i) == fp).is_some()
 }
 
 /// Cooperative delete: find `fp` and replace one copy with a tombstone
@@ -292,57 +240,6 @@ mod tests {
         assert_eq!(fill.ratio(0), 1.0);
         let fill = BlockFill { live: 3, free: 1 };
         assert!((fill.ratio(4) - 0.75).abs() < 1e-12);
-    }
-
-    /// Satellite: every ballot twin pair, bit-identical masks on random
-    /// blocks, all-equal blocks, empty blocks, tombstone-laden blocks, at
-    /// 8- and 12-bit widths (12-bit blocks straddle word boundaries), for
-    /// every cg size.
-    #[test]
-    fn ballot_twins_are_bit_identical() {
-        let mut s = 0x5851_F42D_4C95_7F2Du64;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
-        type Fill<'a> = dyn Fn(usize, &mut dyn FnMut() -> u64) -> u64 + 'a;
-        for bits in [8u32, 12, 16] {
-            let fp_mask = (1u64 << bits) - 1;
-            let fills: [&Fill<'_>; 4] = [
-                &|_, next| next() & fp_mask,                    // random
-                &|_, _| 7,                                      // all-equal fp
-                &|_, _| EMPTY,                                  // empty block
-                &|i, _| if i % 2 == 0 { TOMBSTONE } else { 5 }, // tombstone-laden
-            ];
-            for (fi, fill) in fills.iter().enumerate() {
-                // Blocks at offset 0 and at an unaligned start (block 1 of
-                // a 12-bit table starts mid-word).
-                let table = GpuBuffer::new(48, bits);
-                for i in 0..48 {
-                    table.write_free(i, fill(i, &mut next));
-                }
-                for start in [0usize, 16] {
-                    let view = table.load_span(start, 16);
-                    for g in [1u32, 2, 4, 8, 16, 32] {
-                        let cg = Cg::new(g);
-                        assert_eq!(
-                            free_ballot_scalar(&view, &cg, start, 16),
-                            free_ballot_swar(&view, &cg, start, 16),
-                            "free bits={bits} fill={fi} start={start} cg={g}"
-                        );
-                        for fp in [0u64, 1, 5, 7, fp_mask, next() & fp_mask] {
-                            assert_eq!(
-                                eq_ballot_scalar(&view, &cg, start, 16, fp),
-                                eq_ballot_swar(&view, &cg, start, 16, fp),
-                                "eq bits={bits} fill={fi} start={start} cg={g} fp={fp}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -186,21 +186,10 @@ impl BulkTcf {
         (((b1 as usize) << levels) | sub, ((b2 as usize) << levels) | sub)
     }
 
-    /// Length of the sorted live prefix of a staged block. Dispatches
-    /// between the scalar reference twin and the SWAR twin; both return
-    /// the index of the first EMPTY slot of a well-formed block (live
-    /// prefix, empty suffix).
+    /// Length of the sorted live prefix of a staged block: binary search
+    /// for the first EMPTY slot of a well-formed block (live prefix, empty
+    /// suffix).
     fn prefix_len(view: &gpu_sim::SpanView<'_>, start: usize, slots: usize) -> usize {
-        if gpu_sim::swar::enabled() {
-            Self::prefix_len_swar(view, start, slots)
-        } else {
-            Self::prefix_len_scalar(view, start, slots)
-        }
-    }
-
-    /// Scalar reference: binary search for the first EMPTY slot. Each
-    /// probe pays a slot→word locate (a runtime division) per `get`.
-    fn prefix_len_scalar(view: &gpu_sim::SpanView<'_>, start: usize, slots: usize) -> usize {
         // Live fingerprints (≥ 2) fill a prefix; empties (0) the suffix.
         let mut lo = 0;
         let mut hi = slots;
@@ -213,26 +202,6 @@ impl BulkTcf {
             }
         }
         lo
-    }
-
-    /// SWAR twin: bisect to the one word-sized window holding the
-    /// live→EMPTY transition, then resolve it with a single zero-lane
-    /// scan — the scalar twin's probe count minus `log2(lanes)`, plus
-    /// one word op. (A straight linear word scan loses to the binary
-    /// search at 128-slot blocks; the bisect keeps the word-granular
-    /// resolution without giving up the logarithmic narrowing.)
-    fn prefix_len_swar(view: &gpu_sim::SpanView<'_>, start: usize, slots: usize) -> usize {
-        let w = view.slots_per_word().max(1);
-        let (mut lo, mut hi) = (0usize, slots);
-        while hi - lo > w {
-            let mid = (lo + hi) / 2;
-            if view.get(start + mid) != EMPTY {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo + view.find_zero(start + lo, hi - lo).unwrap_or(hi - lo)
     }
 
     /// Run one placement pass: items grouped by `target` block are merged
@@ -259,14 +228,6 @@ impl BulkTcf {
             let (lo, hi) = (range.start, range.end);
             let block = order_ref[lo].0 as usize;
             let start = block * b;
-            // The sorted segment layout makes the next segment's block
-            // address known before this one is processed — software
-            // prefetch it (free hint; the staged load still pays).
-            if gpu_sim::swar::enabled() {
-                if let Some(&(next_block, _)) = order_ref.get(range.end) {
-                    self.table.prefetch(next_block as usize * b);
-                }
-            }
 
             // Stage the block (shared-memory copy, one-or-two line loads).
             let view = self.table.load_span(start, b);
@@ -352,43 +313,25 @@ impl BulkTcf {
     }
 
     /// Search one staged block, returning the in-block position of a
-    /// matching fingerprint (used by the value path). Both twins are
-    /// canonicalized to *first-match* (lower-bound) semantics: the old
-    /// early-equal binary search returned an arbitrary duplicate, so the
-    /// value read for a duplicated fingerprint depended on search order
-    /// and could diverge between builds.
+    /// matching fingerprint (used by the value path). The search has
+    /// *first-match* (lower-bound) semantics: an early-equal binary search
+    /// would return an arbitrary duplicate, so the value read for a
+    /// duplicated fingerprint would depend on search order.
     fn block_find(&self, block: usize, fp: u64) -> Option<usize> {
         let b = self.cfg.block_slots;
         let start = block * b;
         let view = self.table.load_span(start, b);
         let live = Self::prefix_len(&view, start, b);
-        let pos = if gpu_sim::swar::enabled() {
-            // Bisect to one word-sized window, then one word-level
-            // lower-bound scan resolves the exact lane.
-            let w = view.slots_per_word().max(1);
-            let (mut lo, mut hi) = (0usize, live);
-            while hi - lo > w {
-                let mid = (lo + hi) / 2;
-                if view.get(start + mid) < fp {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
+        let (mut lo, mut hi) = (0usize, live);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if view.get(start + mid) < fp {
+                lo = mid + 1;
+            } else {
+                hi = mid;
             }
-            lo + view.lower_bound_sorted(start + lo, hi - lo, fp)
-        } else {
-            let (mut lo, mut hi) = (0usize, live);
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                if view.get(start + mid) < fp {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            lo
-        };
-        (pos < live && view.get(start + pos) == fp).then_some(pos)
+        }
+        (lo < live && view.get(start + lo) == fp).then_some(lo)
     }
 
     /// Bulk delete pass over one target list; flags removed items.
@@ -409,11 +352,6 @@ impl BulkTcf {
             let (lo, hi) = (range.start, range.end);
             let block = order_ref[lo].0 as usize;
             let start = block * b;
-            if gpu_sim::swar::enabled() {
-                if let Some(&(next_block, _)) = order_ref.get(range.end) {
-                    self.table.prefetch(next_block as usize * b);
-                }
-            }
             let view = self.table.load_span(start, b);
             let live = Self::prefix_len(&view, start, b);
             let vals = self.values.as_ref().map(|vb| vb.load_span(start, b));
@@ -877,11 +815,6 @@ impl BulkTcf {
             let (lo, hi) = (range.start, range.end);
             let block = order_ref[lo].0 as usize;
             let start = block * b;
-            if gpu_sim::swar::enabled() {
-                if let Some(&(next_block, _)) = order_ref.get(range.end) {
-                    self.table.prefetch(next_block as usize * b);
-                }
-            }
             let view = self.table.load_span(start, b);
             let live = Self::prefix_len(&view, start, b);
 
@@ -892,29 +825,11 @@ impl BulkTcf {
                 .map(|&(_, idx)| (self.fp_of(keys[idx as usize]), idx))
                 .collect();
             fps.sort_unstable();
-            let swar = gpu_sim::swar::enabled();
-            let word = view.slots_per_word().max(1);
             let mut i = 0usize;
             for &(fp, idx) in &fps {
-                // Advance the cursor to the first stored slot >= fp: the
-                // scalar twin steps slot by slot; the SWAR twin steps
-                // scalar through short gaps (the common case when the
-                // query group is as dense as the block) and switches to
-                // whole-word skips once the gap exceeds one word.
-                if swar {
-                    let mut stepped = 0;
-                    while i < live && view.get(start + i) < fp {
-                        i += 1;
-                        stepped += 1;
-                        if stepped == word {
-                            i += view.lower_bound_sorted(start + i, live - i, fp);
-                            break;
-                        }
-                    }
-                } else {
-                    while i < live && view.get(start + i) < fp {
-                        i += 1;
-                    }
+                // Advance the cursor to the first stored slot >= fp.
+                while i < live && view.get(start + i) < fp {
+                    i += 1;
                 }
                 if i < live && view.get(start + i) == fp {
                     hits_ref[idx as usize].store(true, Ordering::Relaxed);
@@ -1186,21 +1101,6 @@ mod tests {
         f.query_batch(&keys[1000..], &mut out);
         assert!(out.iter().all(|&x| x), "survivors must remain");
         assert_eq!(f.len_items(), 1000);
-    }
-
-    #[test]
-    fn prefix_len_twins_match_on_every_block() {
-        let f = BulkTcf::new(1 << 12).unwrap();
-        f.insert_batch(&hashed_keys(91, 3200));
-        let b = f.cfg.block_slots;
-        for blk in 0..f.n_blocks {
-            let view = f.table.load_span(blk * b, b);
-            assert_eq!(
-                BulkTcf::prefix_len_scalar(&view, blk * b, b),
-                BulkTcf::prefix_len_swar(&view, blk * b, b),
-                "block {blk}"
-            );
-        }
     }
 
     /// Satellite: `query_batch_sorted` must agree with `query_batch` on

@@ -79,21 +79,6 @@ fn main() -> Result<(), FilterError> {
     assert_eq!(seq.bulk_query_vec(&keys)?, par.bulk_query_vec(&keys)?);
     println!("Parallelism knob: 4-worker build answers identically to sequential ✓");
 
-    // The hot scan loops themselves also come in twins: a scalar
-    // reference kernel and a branch-light u64 SWAR kernel (broadcast-XOR
-    // lane tests, popcount rank), selected by a runtime switch whose
-    // startup default is the `swar` cargo feature. Either arm must
-    // answer bit-identically — CI's swar-matrix job runs the oracle
-    // tiers under both builds; `crates/bench/README.md` explains how the
-    // fig3/fig4 trajectories record the measured speedup.
-    let was_swar = gpu_sim::swar::enabled();
-    gpu_sim::swar::set_enabled(true);
-    let swar_answers = par.bulk_query_vec(&keys)?;
-    gpu_sim::swar::set_enabled(false);
-    assert_eq!(swar_answers, par.bulk_query_vec(&keys)?);
-    gpu_sim::swar::set_enabled(was_swar);
-    println!("SWAR switch: word-at-a-time and scalar kernels answer identically ✓");
-
     // ---- 5. Let capacity be a lifecycle, not a constant ----------------
     // Under `GrowthPolicy::Auto`, growable kinds (bulk TCF/GQF, SQF,
     // RSQF — see the feature matrix's Grow column) never surface

@@ -14,10 +14,6 @@
 //!   per-mutation-run epoch bump guarantees;
 //! * cache-epoch correctness across a delete-everything step, with the
 //!   ServiceStats counters confirming the machinery actually engaged.
-//!
-//! Run with and without `--features swar` (CI's `skew-matrix` job does
-//! both): the backends' scalar and SWAR scan twins must agree under the
-//! coalescing+cache arm exactly as the SWAR oracles demand elsewhere.
 
 use filter_core::{OpKind, Xorwow};
 use gpu_filters::datasets::hashed_keys;
