@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct Device {
     profile: DeviceProfile,
-    /// Host workers the bulk phases may occupy (0 = all pool workers).
+    /// Host workers the bulk phases may occupy (0 = the whole pool).
     workers: usize,
 }
 
@@ -73,16 +73,19 @@ impl Device {
     }
 
     /// Bound the host parallelism of every launch (and device-bounded
-    /// sort) on this device: `n` workers, `0` = all pool workers. Any
-    /// bound yields bit-for-bit identical results — the bulk phases are
-    /// scheduling-independent — so this is purely a throughput knob
+    /// sort) on this device: `n` workers, `0` = the whole pool, whose
+    /// width ([`rayon::current_num_threads`]) is fixed for the process.
+    /// Any bound yields bit-for-bit identical results — the bulk phases
+    /// are scheduling-independent — so this is purely a throughput knob
     /// (`filter_core::Parallelism::workers` maps onto it directly).
     pub fn with_workers(mut self, n: usize) -> Self {
         self.workers = n;
         self
     }
 
-    /// Resolved host worker budget (≥ 1).
+    /// Resolved host worker budget (≥ 1): the bound, or for `0` the pool
+    /// width, which is read once per process and never probes the
+    /// environment on a launch.
     pub fn host_workers(&self) -> usize {
         if self.workers == 0 {
             rayon::current_num_threads().max(1)
@@ -206,6 +209,13 @@ impl Device {
         crate::sort::segment_bounds_pairs_bounded(pairs, self.host_workers())
     }
 
+    /// Reduce phase of the map-reduce insert path (§5.4): collapse a sorted
+    /// batch into `(key, multiplicity)` pairs (see
+    /// [`crate::sort::reduce_by_key_bounded`]).
+    pub fn reduce_by_key(&self, sorted: &[u64]) -> Vec<(u64, u64)> {
+        crate::sort::reduce_by_key_bounded(sorted, self.host_workers())
+    }
+
     /// Minimum items per parallel task so a launch of `n` items spawns at
     /// most `host_workers` tasks (under a bounded budget) or the default
     /// fine-grained striping (unbounded).
@@ -316,7 +326,7 @@ mod tests {
     #[test]
     fn worker_budget_resolves_and_bounds() {
         let dev = Device::cori();
-        assert!(dev.host_workers() >= 1, "auto resolves to the pool width");
+        assert_eq!(dev.host_workers(), rayon::current_num_threads(), "auto is the pool width");
         let dev1 = Device::cori().with_workers(1);
         assert_eq!(dev1.host_workers(), 1);
         assert_eq!(dev1.min_task_len(1000), 1000, "one worker ⇒ one task");

@@ -5,6 +5,9 @@
 //! The benchmark harness snapshots the global aggregate before and after a
 //! kernel and diffs; the difference feeds the analytic cost model
 //! ([`crate::cost`]) that converts transaction counts into modeled GPU time.
+//! A thread that exits folds its counts into a retired total and leaves
+//! the registry, so a snapshot walks only live threads and stays
+//! cumulative for the process.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -120,32 +123,62 @@ impl ThreadSlot {
     }
 }
 
-fn registry() -> &'static Mutex<Vec<Arc<ThreadSlot>>> {
-    static REGISTRY: OnceLock<Mutex<Vec<Arc<ThreadSlot>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
+/// The slots of live threads plus the counts of threads that have exited.
+struct Registry {
+    live: Vec<Arc<ThreadSlot>>,
+    retired: Counters,
+}
+
+fn registry() -> &'static Mutex<Registry> {
+    static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
+    REGISTRY.get_or_init(|| Mutex::new(Registry { live: Vec::new(), retired: Counters::default() }))
+}
+
+/// Lock the registry. Every update leaves it consistent (a push, or a
+/// retirement that adds the counts and then removes the slot), so a guard
+/// poisoned by a panic elsewhere is still sound to use.
+fn lock_registry() -> std::sync::MutexGuard<'static, Registry> {
+    registry().lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// A thread's registered slot; dropping it (at thread exit) retires it.
+struct SlotHandle(Arc<ThreadSlot>);
+
+impl Drop for SlotHandle {
+    fn drop(&mut self) {
+        let mut reg = lock_registry();
+        for i in 0..N_COUNTERS {
+            reg.retired.vals[i] += self.0.vals[i].load(Ordering::Relaxed);
+        }
+        if let Some(pos) = reg.live.iter().position(|s| Arc::ptr_eq(s, &self.0)) {
+            reg.live.swap_remove(pos);
+        }
+    }
 }
 
 thread_local! {
-    static SLOT: Arc<ThreadSlot> = {
+    static SLOT: SlotHandle = {
         let slot = Arc::new(ThreadSlot::new());
-        registry().lock().unwrap().push(Arc::clone(&slot));
-        slot
+        lock_registry().live.push(Arc::clone(&slot));
+        SlotHandle(slot)
     };
 }
 
 /// Record `by` events of kind `c` for the current thread.
 #[inline(always)]
 pub fn bump(c: Counter, by: u64) {
-    SLOT.with(|s| s.bump(c, by));
+    SLOT.with(|s| s.0.bump(c, by));
 }
 
-/// Snapshot the aggregate across all threads that ever recorded traffic.
+/// Snapshot the aggregate across all threads that ever recorded traffic:
+/// the live threads' slots plus the retired total of those that exited.
 ///
 /// Counters are cumulative for the process lifetime; callers measure a
 /// window by diffing two snapshots ([`Counters::since`]).
 pub fn snapshot() -> Counters {
-    let mut out = Counters::default();
-    for slot in registry().lock().unwrap().iter() {
+    let reg = lock_registry();
+    let mut out = reg.retired;
+    for slot in &reg.live {
         for i in 0..N_COUNTERS {
             out.vals[i] += slot.vals[i].load(Ordering::Relaxed);
         }
@@ -153,11 +186,17 @@ pub fn snapshot() -> Counters {
     out
 }
 
+/// Slots in the registry (live threads only).
+#[cfg(test)]
+fn live_slots() -> usize {
+    lock_registry().live.len()
+}
+
 /// Snapshot only the calling thread's counters — immune to traffic from
 /// concurrently running threads. Used by tests that assert exact counts
 /// for single-threaded access sequences.
 pub fn snapshot_current_thread() -> Counters {
-    SLOT.with(|s| {
+    SLOT.with(|SlotHandle(s)| {
         let mut out = Counters::default();
         for i in 0..N_COUNTERS {
             out.vals[i] = s.vals[i].load(Ordering::Relaxed);
@@ -216,6 +255,20 @@ mod tests {
         }
         let diff = snapshot().since(&before);
         assert!(diff.get(Counter::SharedOps) >= 400);
+    }
+
+    #[test]
+    fn exited_threads_keep_their_counts_and_leave_the_registry() {
+        let before = snapshot();
+        let slots_before = live_slots();
+        let handles: Vec<_> =
+            (0..64).map(|_| std::thread::spawn(|| bump(Counter::LockSpins, 1))).collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let diff = snapshot().since(&before);
+        assert!(diff.get(Counter::LockSpins) >= 64, "retired counts were lost");
+        assert!(live_slots() < slots_before + 64, "exited threads stayed registered");
     }
 
     #[test]

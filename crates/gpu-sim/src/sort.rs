@@ -199,17 +199,30 @@ fn radix_pass<T: Copy + Send + Sync>(
 /// Reduce a *sorted* key slice into `(key, multiplicity)` pairs — Thrust's
 /// `reduce_by_key` as used by the GQF's map-reduce counting path.
 pub fn reduce_by_key(sorted: &[u64]) -> Vec<(u64, u64)> {
+    reduce_by_key_bounded(sorted, 0)
+}
+
+/// [`reduce_by_key`] bounded to at most `workers` concurrent scan tasks
+/// per phase (0 = the pool default); the output is independent of the
+/// bound.
+pub fn reduce_by_key_bounded(sorted: &[u64], workers: usize) -> Vec<(u64, u64)> {
     if sorted.is_empty() {
         return Vec::new();
     }
     debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "input must be sorted");
+    let min_len = |n: usize| if workers == 0 { 1 } else { n.div_ceil(workers.max(1)) };
     // Segment boundaries: indices where a new key begins.
     let mut bounds: Vec<usize> = (0..sorted.len())
         .into_par_iter()
+        .with_min_len(min_len(sorted.len()))
         .filter(|&i| i == 0 || sorted[i] != sorted[i - 1])
         .collect();
     bounds.push(sorted.len());
-    bounds.par_windows(2).map(|w| (sorted[w[0]], (w[1] - w[0]) as u64)).collect()
+    bounds
+        .par_windows(2)
+        .with_min_len(min_len(bounds.len() - 1))
+        .map(|w| (sorted[w[0]], (w[1] - w[0]) as u64))
+        .collect()
 }
 
 /// First index in sorted `data` whose value is `>= x` (successor search;
@@ -343,6 +356,13 @@ mod tests {
             let mut got = base.clone();
             radix_sort_u64_bounded(&mut got, workers);
             assert_eq!(got, expect, "u64 sort diverged at workers={workers}");
+        }
+        let mut sorted: Vec<u64> = base.iter().map(|v| v % 4096).collect();
+        radix_sort_u64(&mut sorted);
+        let expect = reduce_by_key(&sorted);
+        for workers in [1usize, 2, 3, 8] {
+            let got = reduce_by_key_bounded(&sorted, workers);
+            assert_eq!(got, expect, "reduce_by_key diverged at workers={workers}");
         }
     }
 

@@ -16,7 +16,8 @@
 
 //! Every batch runs the substrate's bulk-synchronous phase pattern: a
 //! data-parallel **hash** phase ([`Device::par_map`]), a device-bounded
-//! **sort** ([`Device::sort_u64`] / [`Device::sort_pairs`]), a parallel
+//! **sort** ([`Device::sort_u64`] / [`Device::sort_pairs`]), the map-reduce
+//! path's **reduce** ([`Device::reduce_by_key`]), a parallel
 //! **partition** phase (successor search per region, again `par_map`),
 //! and the even-odd **apply** phases over region ranges
 //! ([`Device::launch_regions`]) — all bounded by the spec's
@@ -29,7 +30,7 @@ use filter_core::{
     ApiMode, BulkDeletable, BulkFilter, DeleteOutcome, Features, FilterError, FilterMeta,
     FilterSpec, InsertOutcome, Operation,
 };
-use gpu_sim::sort::{lower_bound, reduce_by_key};
+use gpu_sim::sort::lower_bound;
 use gpu_sim::Device;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -286,7 +287,7 @@ impl BulkGqf {
     pub fn insert_batch_mapreduce(&self, keys: &[u64]) -> usize {
         let mut hashes = self.hash_batch(keys);
         self.device.sort_u64(&mut hashes);
-        let reduced = reduce_by_key(&hashes);
+        let reduced = self.device.reduce_by_key(&hashes);
         let sorted: Vec<u64> = reduced.iter().map(|&(h, _)| h).collect();
         let bounds = self.region_bounds(&sorted);
         let l = *self.core.layout();

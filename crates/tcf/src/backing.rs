@@ -111,12 +111,19 @@ impl BackingTable {
         false
     }
 
-    /// Delete one copy of `fp` under `key`'s probe sequence, replacing it
-    /// with a tombstone. Returns true if found.
+    /// Delete one copy of `key`'s entry under its probe sequence, replacing
+    /// it with a tombstone. Returns true if found. Unlike [`Self::contains`],
+    /// which answers from fingerprints alone as the paper's table does, a
+    /// delete also matches the retained key: a slot on `key`'s probe path
+    /// that holds the same fingerprint may belong to another spilled key,
+    /// which must stay present.
     pub fn remove(&self, key: u64, fp: u64) -> bool {
         for slot in self.probes(key) {
             let cur = self.slots.read(slot);
-            if cur == fp && self.slots.cas(slot, fp, TOMBSTONE).is_ok() {
+            if cur == fp
+                && self.keys.read(slot) == key
+                && self.slots.cas(slot, fp, TOMBSTONE).is_ok()
+            {
                 return true;
             }
             if cur == EMPTY {
@@ -250,6 +257,20 @@ mod tests {
             assert_ne!(key, 50, "tombstoned entry must not enumerate");
             assert_eq!(fp, fp_of(key), "key and fingerprint must pair up");
         }
+    }
+
+    #[test]
+    fn remove_leaves_another_key_with_the_same_fingerprint() {
+        let fp8 = |key| Fingerprint::from_hash(filter_core::hash64_seeded(key, 0xf00d), 8).value();
+        let b = BackingTable::for_main_table(100, 8); // 64 slots
+        let (k1, fp) = (1u64, fp8(1));
+        assert!(b.insert(k1, fp));
+        let k1_slot = b.probes(k1).next();
+        let k2 = (2..).find(|&k| fp8(k) == fp && b.probes(k).next() == k1_slot).unwrap();
+        assert!(b.insert(k2, fp));
+        assert!(b.remove(k2, fp));
+        assert_eq!(b.entries(), vec![(k1, fp)], "the delete removed the other key");
+        assert!(!b.remove(k2, fp), "k2 was deleted once already");
     }
 
     #[test]
