@@ -1,6 +1,7 @@
 //! The unified measurement subsystem: every figure/table binary (and,
-//! through the same statistics code, every criterion-shim bench) measures
-//! the same way and records the result in one machine-readable schema.
+//! through the same statistics code, the criterion-shim substrate bench)
+//! measures the same way and records the result in one machine-readable
+//! schema.
 //!
 //! The layer has three pieces:
 //!
@@ -9,14 +10,14 @@
 //!   `setup` closure, so mutating operations like inserts are re-measured
 //!   from a clean filter) and aggregate the per-repeat wall times with the
 //!   vendored criterion shim's [`stats`] module — median, p10, p90 — the
-//!   same aggregation `benches/*.rs` report.
+//!   same aggregation `benches/substrate.rs` reports.
 //! * **[`Measurement`]** — one row: label, filter kind, op, size, items,
 //!   repeat statistics for seconds and items/sec, the device cost model's
 //!   modeled throughput, and an echo of the [`FilterSpec`] that built the
 //!   filter, so a trajectory file is self-describing.
 //! * **[`Trajectory`]** — a figure's rows plus figure-level context,
 //!   written to (and read back from, by the same serde-free
-//!   [`Json`](crate::json::Json) code) `experiments/BENCH_<figure>.json`.
+//!   [`Json`] code) `experiments/BENCH_<figure>.json`.
 //!   These files are the repo's perf trajectory: every PR regenerates
 //!   them, and the schema-regression test keeps them parseable.
 //!

@@ -20,7 +20,8 @@
 //!
 //! Every binary measures through the [`harness`]: `warmup + repeats`
 //! executions per row, median/p10/p90 wall statistics (the same
-//! aggregation the vendored criterion shim reports for `benches/*`), plus
+//! aggregation the vendored criterion shim reports for the substrate
+//! micro-benchmark in `benches/`), plus
 //! the device cost model's **modeled** throughput — the numbers comparable
 //! to the paper's figures. Each figure's rows land in
 //! `experiments/BENCH_<figure>.json` on the schema described in this

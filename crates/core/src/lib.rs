@@ -50,7 +50,7 @@
 //! service handling heavy concurrent traffic. The [`serving`] module (the
 //! `filter-service` crate) wraps any bulk filter in a sharded,
 //! batch-aggregating front-end: keys are routed to `N` independent filter
-//! instances by a splitmix-derived hash, concurrent point operations are
+//! instances by a consistent-hash ring, concurrent point operations are
 //! aggregated into per-shard batches, and each shard's dedicated worker
 //! flushes through the backend's `BulkFilter` API when a batch fills or a
 //! linger deadline passes. Bounded per-shard queues provide backpressure;
@@ -94,9 +94,7 @@ pub use filter_core::{
     GrowthPolicy, InsertOutcome, MaintainableFilter, OpKind, Operation, Parallelism, RespStatus,
     ServiceBackend, Valued, WIRE_VERSION,
 };
-pub use filter_service::{
-    RingRouter, ServiceHandle, ServiceRouter, ShardRouter, ShardedFilter, ShardedFilterBuilder,
-};
+pub use filter_service::{RingRouter, ServiceHandle, ShardedFilter, ShardedFilterBuilder};
 pub use gpu_sim::{cost, Device, DeviceProfile, KernelStats};
 pub use gqf::{BulkGqf, PointGqf};
 pub use registry::{all_filters, build_filter};

@@ -1,8 +1,8 @@
 //! Minimal JSON emitter for the unsafe-audit inventory.
 //!
 //! `std`-only (no serde): the only thing we serialize is a flat list of
-//! [`UnsafeSite`](crate::unsafe_audit::UnsafeSite) records, so a tiny
-//! string-escaping writer is all that's needed.
+//! [`UnsafeSite`] records, so a tiny string-escaping writer is all that's
+//! needed.
 
 use crate::unsafe_audit::UnsafeSite;
 

@@ -1,7 +1,7 @@
 //! A nonblocking TCP stream with frame-aware buffered I/O.
 //!
 //! [`FramedConn`] owns the read and write buffers for one connection and
-//! speaks the [`codec`](crate::codec) framing on both directions. It does
+//! speaks the [`codec`] framing on both directions. It does
 //! no readiness management itself — the reactor (or the fleet's pacing
 //! loop) decides *when* to call [`fill`](FramedConn::fill) and
 //! [`flush`](FramedConn::flush); this type only guarantees that partial

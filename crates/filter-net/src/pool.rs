@@ -15,12 +15,11 @@
 //!
 //! Sizing is tied to the wire constants: a pooled buffer reserves
 //! [`POOL_BUF_BYTES`] (the largest response frame the codec can emit, by
-//! [`MAX_KEYS`](crate::codec::MAX_KEYS)), and `put` refuses buffers that
+//! [`MAX_KEYS`]), and `put` refuses buffers that
 //! grew past twice that, so a pathological frame cannot pin memory in the
 //! pool. The free list is bounded by the pool's `max_pooled`; a pool
 //! built with zero capacity degenerates to plain allocation (every `get`
-//! misses, every `put` drops), which is the `ServerConfig::pool_buffers =
-//! false` arm benches compare against.
+//! misses, every `put` drops).
 
 use crate::codec::{HEADER_BYTES, MAX_KEYS};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -4,8 +4,8 @@
 //! One thread owns every socket. Decoded data requests are handed to
 //! [`ServiceHandle::submit_batch`]; the per-key results come back on
 //! worker threads via completion callbacks, cross back to the reactor
-//! over an unbounded channel (paired with a [`Waker`](crate::poll::Waker)
-//! so a parked poller notices), and are written out as response frames.
+//! over an unbounded channel (paired with a [`Waker`] so a parked poller
+//! notices), and are written out as response frames.
 //! Connection slots carry a generation counter so a completion for a
 //! connection that died mid-batch is counted (`resp_dropped`) rather than
 //! delivered to whoever reused the slot.
@@ -44,19 +44,11 @@ pub struct ServerConfig {
     pub max_conns: usize,
     /// Batching/admission policy.
     pub policy: BatchPolicy,
-    /// Recycle response-frame buffers through a bounded [`BufPool`]
-    /// (default on); off allocates per response — the baseline arm
-    /// benches sweep against.
-    pub pool_buffers: bool,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        ServerConfig {
-            max_conns: 1024,
-            policy: BatchPolicy::Adaptive(Default::default()),
-            pool_buffers: true,
-        }
+        ServerConfig { max_conns: 1024, policy: BatchPolicy::Adaptive(Default::default()) }
     }
 }
 
@@ -105,7 +97,7 @@ pub struct NetStats {
     /// Response buffers the pool had to allocate fresh.
     pub pool_misses: u64,
     /// Buffers the pool released instead of parking (list full or
-    /// oversized) — plus every return when pooling is configured off.
+    /// oversized).
     pub pool_dropped: u64,
 }
 
@@ -240,7 +232,7 @@ pub fn serve<A: ToSocketAddrs>(
     listener.set_nonblocking(true)?;
     let local = listener.local_addr()?;
     let stats: Arc<NetStatsInner> = Arc::default();
-    let pool = Arc::new(BufPool::new(if cfg.pool_buffers { DEFAULT_POOLED_BUFS } else { 0 }));
+    let pool = Arc::new(BufPool::new(DEFAULT_POOLED_BUFS));
     let stop = Arc::new(AtomicBool::new(false));
     let (wake_tx, wake_rx) = waker()?;
     let waker_arc = Arc::new(wake_tx);

@@ -5,7 +5,7 @@
 //! TCF, §5.3 GQF even-odd phased insertion). This crate applies the same
 //! lesson to a CPU-side serving system: concurrent point requests are
 //! **sharded** across `N` independent filter instances by a
-//! splitmix-derived router, **aggregated** into per-shard batches, and
+//! consistent-hash [`RingRouter`], **aggregated** into per-shard batches, and
 //! **flushed** through the backends' existing [`filter_core::BulkFilter`]
 //! APIs when a batch fills or a linger deadline passes — mirroring GPU
 //! kernel-launch amortization. Shards run on dedicated worker threads
@@ -78,9 +78,9 @@
 //!   insert/delete run bumps. A stale epoch reads as a miss, so
 //!   correctness never depends on the cache's contents — see the
 //!   rationale in the `cache` module docs.
-//! * **Scratch pooling** ([`ShardedFilterBuilder::pool_scratch`], on by
-//!   default): flush scratch vectors are reused across flushes instead
-//!   of reallocated.
+//!
+//! Each shard worker also reuses its flush scratch vectors across
+//! flushes, so a steady-state worker allocates nothing per batch.
 //!
 //! ```
 //! use filter_service::ShardedFilterBuilder;
@@ -120,10 +120,7 @@
 //! absorbers on [`filter_core::FilterError::NeedsGrowth`]; no
 //! acknowledged outcome is lost, and the
 //! [`ServiceStats`] ledger records `scale_ins`, `migration_events`, and
-//! an estimated `keys_moved`. The pre-ring multiplicative router remains
-//! available as a baseline via
-//! [`ShardedFilterBuilder::splitmix_routing`] (which constrains resizes
-//! to divide-or-multiply counts).
+//! an estimated `keys_moved`.
 
 #![forbid(unsafe_code)]
 
@@ -132,7 +129,7 @@ pub mod router;
 pub mod service;
 pub mod stats;
 
-pub use router::{RingRouter, Router, ServiceRouter, ShardRouter, DEFAULT_VNODES, ROUTER_SEED};
+pub use router::{RingRouter, DEFAULT_VNODES, ROUTER_SEED};
 pub use service::{
     BatchReport, ServiceControl, ServiceHandle, ShardedFilter, ShardedFilterBuilder,
 };

@@ -19,33 +19,38 @@
 //! are applied in arrival order, so per-key ordering is global: a key
 //! always routes to the same shard.
 //!
-//! Two usage modes per handle:
+//! Three usage modes per handle:
 //!
-//! * **blocking** — `insert` / `contains` / `remove` park the caller until
-//!   the flush containing their operation completes; many concurrent
-//!   callers naturally fill batches.
+//! * **blocking** — `insert` / `contains` / `remove` / `*_batch` park the
+//!   caller until the flush containing their operations completes; many
+//!   concurrent callers naturally fill batches.
 //! * **pipeline** — `insert_pipelined` / `*_batch_pipelined` enqueue and
 //!   return; `barrier()` waits for everything already enqueued. Streaming
 //!   workloads use this to keep every shard busy from one thread.
+//! * **callback** — `submit_batch` enqueues and returns; a callback
+//!   receives the per-key answers (the network reactor's path).
+//!
+//! All three go through one private fan-out: it routes the keys, sends
+//! each shard one task, and, when the caller wants answers, gives each
+//! key a claim on one completion gate. The gate's last answer wakes the
+//! parked caller or fires the callback.
 //!
 //! **Capacity lifecycle.** Shard workers built over a
 //! [`MaintainableFilter`] backend auto-grow it under the spec's
 //! [`GrowthPolicy`], retrying exactly the keys a full backend failed — so
 //! a service over a growable kind never surfaces capacity failures. The
 //! service itself resizes live: [`ShardedFilter::set_shards`] moves the
-//! fleet to *any* shard count — out or in — by consulting the routers:
-//! each new shard merge-absorbs exactly the old backends whose ring arcs
-//! it takes over ([`ServiceRouter::inheritors`]), correct under
-//! concurrent blocking and pipelined handles (intake pauses on the
-//! shared routing state while old shards drain). Under the default
-//! [`RingRouter`] an `n → n ± k` resize re-owns only ~`k/n` of the key
-//! space; the splitmix baseline ([`ShardedFilterBuilder::splitmix_routing`])
-//! keeps the PR 5 behavior, resizing only by whole multiples. Growth,
-//! migration, scale-out/in, and moved-key events land in the
-//! [`ServiceStats`] ledger.
+//! fleet to *any* shard count — out or in — by consulting the
+//! consistent-hash [`RingRouter`]: each new shard merge-absorbs exactly
+//! the old backends whose ring arcs it takes over
+//! ([`RingRouter::inheritors`]), correct under concurrent blocking and
+//! pipelined handles (intake pauses on the shared routing state while old
+//! shards drain). An `n → n ± k` resize re-owns only ~`k/n` of the key
+//! space. Growth, migration, scale-out/in, and moved-key events land in
+//! the [`ServiceStats`] ledger.
 
 use crate::cache::QueryCache;
-use crate::router::{RingRouter, ServiceRouter, ShardRouter, DEFAULT_VNODES, ROUTER_SEED};
+use crate::router::{RingRouter, DEFAULT_VNODES, ROUTER_SEED};
 use crate::stats::{ServiceStats, StatsInner};
 use filter_core::{
     DeleteOutcome, FilterError, FilterSpec, GrowthPolicy, InsertOutcome, MaintainableFilter,
@@ -67,152 +72,6 @@ const MAX_GROWS_PER_FLUSH: u32 = filter_core::growth::MAX_GROWS_PER_OP;
 /// basis of the `keys_moved` ledger estimate).
 const MOVE_PROBE_KEYS: u64 = 4096;
 
-/// Completion gate for insert-like operations: counts keys still in
-/// flight, accumulating failures and aborts.
-#[derive(Debug)]
-struct OpGate {
-    state: Mutex<OpGateState>,
-    cv: Condvar,
-}
-
-#[derive(Debug)]
-struct OpGateState {
-    remaining: usize,
-    failures: usize,
-    aborted: usize,
-}
-
-impl OpGate {
-    fn new(remaining: usize) -> Arc<Self> {
-        Arc::new(OpGate {
-            state: Mutex::new(OpGateState { remaining, failures: 0, aborted: 0 }),
-            cv: Condvar::new(),
-        })
-    }
-
-    fn done(&self, ok: bool, aborted: bool) {
-        let mut s = self.state.lock().unwrap();
-        s.remaining -= 1;
-        if aborted {
-            s.aborted += 1;
-        } else if !ok {
-            s.failures += 1;
-        }
-        if s.remaining == 0 {
-            self.cv.notify_all();
-        }
-    }
-
-    /// Park until every key completes; returns `(failures, aborted)`.
-    fn wait(&self) -> (usize, usize) {
-        let mut s = self.state.lock().unwrap();
-        while s.remaining > 0 {
-            s = self.cv.wait(s).unwrap();
-        }
-        (s.failures, s.aborted)
-    }
-}
-
-/// Completion gate for query-like operations: a result slot per key.
-#[derive(Debug)]
-struct QueryGate {
-    state: Mutex<QueryGateState>,
-    cv: Condvar,
-}
-
-#[derive(Debug)]
-struct QueryGateState {
-    results: Vec<bool>,
-    remaining: usize,
-    aborted: usize,
-}
-
-impl QueryGate {
-    fn new(n: usize) -> Arc<Self> {
-        Arc::new(QueryGate {
-            state: Mutex::new(QueryGateState { results: vec![false; n], remaining: n, aborted: 0 }),
-            cv: Condvar::new(),
-        })
-    }
-
-    fn set(&self, slot: u32, value: bool, aborted: bool) {
-        let mut s = self.state.lock().unwrap();
-        s.results[slot as usize] = value;
-        s.remaining -= 1;
-        if aborted {
-            s.aborted += 1;
-        }
-        if s.remaining == 0 {
-            self.cv.notify_all();
-        }
-    }
-
-    /// Park until every slot fills; returns `(results, aborted)`.
-    fn wait(&self) -> (Vec<bool>, usize) {
-        let mut s = self.state.lock().unwrap();
-        while s.remaining > 0 {
-            s = self.cv.wait(s).unwrap();
-        }
-        (std::mem::take(&mut s.results), s.aborted)
-    }
-}
-
-/// One key's claim on an [`OpGate`]. Dropping an unfulfilled ack (task
-/// dropped on a dead channel, worker gone) counts as an abort, so waiting
-/// callers can never hang.
-#[derive(Debug)]
-struct InsertAck {
-    gate: Arc<OpGate>,
-    done: bool,
-}
-
-impl InsertAck {
-    fn new(gate: Arc<OpGate>) -> Self {
-        InsertAck { gate, done: false }
-    }
-
-    fn fulfill(mut self, ok: bool) {
-        self.done = true;
-        self.gate.done(ok, false);
-    }
-}
-
-impl Drop for InsertAck {
-    fn drop(&mut self) {
-        if !self.done {
-            self.gate.done(false, true);
-        }
-    }
-}
-
-/// One key's claim on a [`QueryGate`] slot; abort-on-drop like
-/// [`InsertAck`].
-#[derive(Debug)]
-struct QueryAck {
-    gate: Arc<QueryGate>,
-    slot: u32,
-    done: bool,
-}
-
-impl QueryAck {
-    fn new(gate: Arc<QueryGate>, slot: u32) -> Self {
-        QueryAck { gate, slot, done: false }
-    }
-
-    fn fulfill(mut self, value: bool) {
-        self.done = true;
-        self.gate.set(self.slot, value, false);
-    }
-}
-
-impl Drop for QueryAck {
-    fn drop(&mut self) {
-        if !self.done {
-            self.gate.set(self.slot, false, true);
-        }
-    }
-}
-
 /// Aggregate result of an asynchronously submitted batch
 /// ([`ServiceHandle::submit_batch`]), delivered to the completion callback
 /// once every key of the batch has flushed.
@@ -228,146 +87,123 @@ pub struct BatchReport {
 
 type BatchCallback = Box<dyn FnOnce(BatchReport) + Send + 'static>;
 
-/// Completion gate for callback-style batches: like [`QueryGate`], but
-/// instead of parking a caller, the last-arriving answer fires a callback
-/// (outside the gate lock, on whichever shard worker delivered it).
-struct AsyncGate {
-    state: Mutex<AsyncGateState>,
+/// Completion gate of one submission: a result slot per key (or per
+/// shard, for a barrier). Its last answer either wakes the caller parked
+/// in [`Gate::wait`] or, when the gate carries a callback, fires it —
+/// outside the gate lock, on whichever thread delivered that answer.
+struct Gate {
+    state: Mutex<GateState>,
+    cv: Condvar,
 }
 
-struct AsyncGateState {
+struct GateState {
     results: Vec<bool>,
     remaining: usize,
     aborted: usize,
     on_done: Option<BatchCallback>,
 }
 
-impl std::fmt::Debug for AsyncGate {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("AsyncGate")
+impl GateState {
+    fn report(&mut self) -> BatchReport {
+        BatchReport { results: std::mem::take(&mut self.results), aborted: self.aborted }
     }
 }
 
-impl AsyncGate {
-    fn new(n: usize, on_done: BatchCallback) -> Arc<Self> {
-        Arc::new(AsyncGate {
-            state: Mutex::new(AsyncGateState {
-                results: vec![false; n],
-                remaining: n,
-                aborted: 0,
-                on_done: Some(on_done),
-            }),
-        })
+impl Gate {
+    /// A gate over `n` slots; without `on_done`, a caller parks in
+    /// [`Self::wait`].
+    fn new(n: usize, on_done: Option<BatchCallback>) -> Arc<Self> {
+        let state = GateState { results: vec![false; n], remaining: n, aborted: 0, on_done };
+        Arc::new(Gate { state: Mutex::new(state), cv: Condvar::new() })
     }
 
-    fn set(&self, slot: u32, value: bool, aborted: bool) {
-        let fire = {
-            let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
-            s.results[slot as usize] = value;
-            s.remaining -= 1;
-            if aborted {
-                s.aborted += 1;
+    /// Record one slot's answer; `aborted` slots keep `false`.
+    fn answer(&self, slot: u32, value: bool, aborted: bool) {
+        let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        s.results[slot as usize] = value;
+        s.aborted += usize::from(aborted);
+        s.remaining -= 1;
+        if s.remaining > 0 {
+            return;
+        }
+        match s.on_done.take() {
+            Some(on_done) => {
+                let report = s.report();
+                drop(s);
+                on_done(report);
             }
-            if s.remaining == 0 {
-                s.on_done.take().map(|cb| (std::mem::take(&mut s.results), s.aborted, cb))
-            } else {
-                None
-            }
-        };
-        if let Some((results, aborted, cb)) = fire {
-            cb(BatchReport { results, aborted });
+            None => self.cv.notify_all(),
         }
     }
+
+    /// Park until every slot is answered.
+    fn wait(&self) -> BatchReport {
+        let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        while s.remaining > 0 {
+            s = self.cv.wait(s).unwrap_or_else(|e| e.into_inner());
+        }
+        s.report()
+    }
+
+    /// Park, then report the answers — or `ServiceStopped` when `sent`
+    /// records a refused send or a claim was dropped unanswered.
+    fn settle(&self, sent: Result<(), FilterError>) -> Result<Vec<bool>, FilterError> {
+        let report = self.wait();
+        sent?;
+        if report.aborted > 0 {
+            return Err(FilterError::ServiceStopped);
+        }
+        Ok(report.results)
+    }
 }
 
-/// One key's claim on an [`AsyncGate`] slot; abort-on-drop like
-/// [`QueryAck`], so a successfully submitted batch *always* fires its
-/// callback, even when the service stops mid-flight.
-#[derive(Debug)]
-struct AsyncAck {
-    gate: Arc<AsyncGate>,
+/// One key's claim on a [`Gate`] slot. Dropping it unanswered (its task
+/// dropped on a dead channel, its worker gone) records an abort, so a
+/// parked caller never hangs and a submitted batch's callback always
+/// fires, even when the service stops mid-flight.
+struct Claim {
+    gate: Arc<Gate>,
     slot: u32,
     done: bool,
 }
 
-impl AsyncAck {
-    fn new(gate: Arc<AsyncGate>, slot: u32) -> Self {
-        AsyncAck { gate, slot, done: false }
+impl Claim {
+    fn new(gate: &Arc<Gate>, slot: u32) -> Self {
+        Claim { gate: Arc::clone(gate), slot, done: false }
     }
 
     fn fulfill(mut self, value: bool) {
         self.done = true;
-        self.gate.set(self.slot, value, false);
+        self.gate.answer(self.slot, value, false);
     }
 }
 
-impl Drop for AsyncAck {
+impl Drop for Claim {
     fn drop(&mut self) {
         if !self.done {
-            self.gate.set(self.slot, false, true);
+            self.gate.answer(self.slot, false, true);
         }
-    }
-}
-
-/// Operation classes inside a shard buffer; maximal same-kind runs become
-/// one backend bulk call each.
-const KIND_INSERT: u8 = 0;
-const KIND_QUERY: u8 = 1;
-const KIND_DELETE: u8 = 2;
-
-/// The completion path of one buffered operation.
-#[derive(Debug)]
-enum Ack {
-    /// Fire-and-forget (pipelined): nothing to notify.
-    Fire,
-    /// A blocking caller's claim on an [`OpGate`].
-    Insert(InsertAck),
-    /// A blocking caller's slot on a [`QueryGate`].
-    Slot(QueryAck),
-    /// A completion-callback slot on an [`AsyncGate`] (the network
-    /// reactor's path into the service).
-    Async(AsyncAck),
-}
-
-impl Ack {
-    /// Deliver the per-key answer (insert: accepted; query: possibly
-    /// present; delete: removed).
-    fn fulfill(self, value: bool) {
-        match self {
-            Ack::Fire => {}
-            Ack::Insert(a) => a.fulfill(value),
-            Ack::Slot(a) => a.fulfill(value),
-            Ack::Async(a) => a.fulfill(value),
-        }
-    }
-
-    /// Whether fulfilling this ack observably reports anything.
-    fn wants_report(&self) -> bool {
-        !matches!(self, Ack::Fire)
     }
 }
 
 /// One buffered operation awaiting a flush, stamped with its submission
 /// time so the flushing worker can record end-to-end service latency.
-#[derive(Debug)]
+/// Maximal runs of one `kind` become one backend bulk call each.
 struct Pending {
-    kind: u8,
+    kind: OpKind,
     key: u64,
     at: Instant,
-    ack: Ack,
+    /// `None` for pipelined operations, which answer nobody.
+    claim: Option<Claim>,
 }
 
 impl Pending {
-    fn insert(key: u64, at: Instant, ack: Ack) -> Self {
-        Pending { kind: KIND_INSERT, key, at, ack }
-    }
-
-    fn query(key: u64, at: Instant, ack: Ack) -> Self {
-        Pending { kind: KIND_QUERY, key, at, ack }
-    }
-
-    fn delete(key: u64, at: Instant, ack: Ack) -> Self {
-        Pending { kind: KIND_DELETE, key, at, ack }
+    /// Deliver the per-key answer (insert: accepted; query: possibly
+    /// present; delete: removed).
+    fn answer(self, value: bool) {
+        if let Some(claim) = self.claim {
+            claim.fulfill(value);
+        }
     }
 }
 
@@ -377,8 +213,8 @@ enum Task {
     One(Pending),
     /// A pre-routed batch of operations (kept in submission order).
     Many(Vec<Pending>),
-    /// Flush everything buffered, then acknowledge.
-    Barrier(InsertAck),
+    /// Flush everything buffered, then answer the claim.
+    Barrier(Claim),
     /// Flush, acknowledge nothing, and exit the worker.
     Stop,
 }
@@ -463,12 +299,10 @@ pub struct ShardedFilterBuilder {
     seed: u64,
     vnodes: u32,
     weights: Option<Vec<f64>>,
-    ring_routing: bool,
     parallelism: Parallelism,
     growth: GrowthPolicy,
     coalesce: bool,
     cache_entries: usize,
-    pool_scratch: bool,
 }
 
 impl Default for ShardedFilterBuilder {
@@ -481,12 +315,10 @@ impl Default for ShardedFilterBuilder {
             seed: ROUTER_SEED,
             vnodes: DEFAULT_VNODES,
             weights: None,
-            ring_routing: true,
             parallelism: Parallelism::Auto,
             growth: GrowthPolicy::Fixed,
             coalesce: true,
             cache_entries: 0,
-            pool_scratch: true,
         }
     }
 }
@@ -527,8 +359,9 @@ impl ShardedFilterBuilder {
         self
     }
 
-    /// Override the router seed (see [`RingRouter::with_seed`] /
-    /// [`ShardRouter::with_seed`]).
+    /// Override the seed of the key hash and of every ring point (see
+    /// [`RingRouter::with_seed`]); two services over one key space can use
+    /// different seeds to decorrelate their hot shards.
     pub fn router_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -537,8 +370,7 @@ impl ShardedFilterBuilder {
     /// Virtual nodes per unit-weight shard on the consistent-hash ring
     /// (default 128; zero clamps to one). More vnodes tighten balance
     /// (the residual imbalance after correction is ~one vnode arc) at the
-    /// cost of a larger binary-search table. Ignored under
-    /// [`Self::splitmix_routing`].
+    /// cost of a larger binary-search table.
     pub fn ring_vnodes(mut self, vnodes: u32) -> Self {
         self.vnodes = vnodes.max(1);
         self
@@ -548,35 +380,15 @@ impl ShardedFilterBuilder {
     /// serves a key-space share proportional to `weights[i]`. Entries
     /// beyond the live shard count are ignored; missing, non-finite, or
     /// non-positive entries default to `1.0`. A resize keeps applying the
-    /// same weight vector to however many shards then exist. Ignored
-    /// under [`Self::splitmix_routing`].
+    /// same weight vector to however many shards then exist.
     pub fn shard_weights(mut self, weights: Vec<f64>) -> Self {
         self.weights = Some(weights);
         self
     }
 
-    /// Route with the original multiplicative [`ShardRouter`] instead of
-    /// the consistent-hash ring — the pre-ring baseline, kept for
-    /// comparison. Restricts [`ShardedFilter::set_shards`] to resizes
-    /// where one shard count divides the other (the only family whose
-    /// splitmix ranges nest).
-    pub fn splitmix_routing(mut self) -> Self {
-        self.ring_routing = false;
-        self
-    }
-
-    /// The router this configuration produces for `shards` live shards.
-    fn make_router(&self, shards: usize) -> ServiceRouter {
-        if self.ring_routing {
-            ServiceRouter::Ring(RingRouter::with_config(
-                shards,
-                self.seed,
-                self.vnodes,
-                self.weights.as_deref(),
-            ))
-        } else {
-            ServiceRouter::Splitmix(ShardRouter::with_seed(shards, self.seed))
-        }
+    /// The ring this configuration produces for `shards` live shards.
+    fn make_router(&self, shards: usize) -> RingRouter {
+        RingRouter::with_config(shards, self.seed, self.vnodes, self.weights.as_deref())
     }
 
     /// Service-wide host-parallelism budget for the backends' bulk phases
@@ -626,15 +438,6 @@ impl ShardedFilterBuilder {
     /// [`ServiceStats`].
     pub fn query_cache(mut self, entries: usize) -> Self {
         self.cache_entries = entries;
-        self
-    }
-
-    /// Toggle reuse of the per-flush scratch buffers (run/key/verdict
-    /// vectors) across a worker's flushes (default on). Off releases the
-    /// scratch capacity after every flush — the allocate-per-batch
-    /// baseline, kept sweepable for benches.
-    pub fn pool_scratch(mut self, on: bool) -> Self {
-        self.pool_scratch = on;
         self
     }
 
@@ -784,7 +587,6 @@ fn spawn_workers<B: ServiceBackend + 'static>(
             maintain,
             coalesce: cfg.coalesce,
             cache: QueryCache::new(cfg.cache_entries),
-            pool_scratch: cfg.pool_scratch,
         };
         let handle = std::thread::Builder::new()
             .name(format!("filter-shard-{i}.g{generation}"))
@@ -803,7 +605,7 @@ fn spawn_workers<B: ServiceBackend + 'static>(
 /// resize — always routes against a consistent (senders, router) pair.
 struct RouteState {
     senders: Vec<SyncSender<Task>>,
-    router: ServiceRouter,
+    router: RingRouter,
 }
 
 /// Per-shard worker: drains the queue, buffers, flushes. The backend
@@ -828,8 +630,6 @@ struct WorkerConfig<B: ServiceBackend> {
     /// Hot-key verdict cache, when armed (fresh per worker generation, so
     /// a resize never carries verdicts across migrated backends).
     cache: Option<QueryCache>,
-    /// Keep flush scratch capacity across flushes.
-    pool_scratch: bool,
 }
 
 /// Per-worker scratch reused across flushes so a steady-state worker
@@ -841,13 +641,6 @@ struct FlushScratch {
     run: Vec<Pending>,
     keys: Vec<u64>,
     q: QueryScratch,
-}
-
-impl FlushScratch {
-    /// Drop all retained capacity (the allocate-per-flush baseline arm).
-    fn release(&mut self) {
-        *self = FlushScratch::default();
-    }
 }
 
 /// Query-flush working set: `(key, slot)` pairs for the sort-dedup, the
@@ -945,10 +738,10 @@ impl<B: ServiceBackend> WorkerConfig<B> {
             match task {
                 Task::One(p) => pending.push(p),
                 Task::Many(ps) => pending.extend(ps),
-                Task::Barrier(ack) => {
+                Task::Barrier(claim) => {
                     self.flush(&mut pending, &mut scratch);
                     deadline = None;
-                    ack.fulfill(true);
+                    claim.fulfill(true);
                     continue;
                 }
                 Task::Stop => {
@@ -998,20 +791,16 @@ impl<B: ServiceBackend> WorkerConfig<B> {
             // under the pre-mutation backend can never answer a query
             // sequenced after the mutation.
             match kind {
-                KIND_INSERT => {
+                OpKind::Insert => {
                     self.flush_inserts(keys, run.drain(..));
                     self.invalidate_cache();
                 }
-                KIND_QUERY => self.flush_queries(keys, run.drain(..), q),
+                OpKind::Query => self.flush_queries(keys, run.drain(..), q),
                 _ => {
                     self.flush_deletes(keys, run.drain(..));
                     self.invalidate_cache();
                 }
             }
-        }
-        drop(iter);
-        if !self.pool_scratch {
-            scratch.release();
         }
     }
 
@@ -1033,9 +822,9 @@ impl<B: ServiceBackend> WorkerConfig<B> {
         // Fully pipelined runs need only the aggregate failure count —
         // unless an auto-growth policy is armed, in which case the
         // per-key report drives the grow-and-retry loop even for them.
-        let wants_acks = run.as_slice().iter().any(|p| p.ack.wants_report());
+        let wants_answers = run.as_slice().iter().any(|p| p.claim.is_some());
         let auto_growth = self.maintain.is_some_and(|m| m.auto.is_some());
-        if !wants_acks && !auto_growth {
+        if !wants_answers && !auto_growth {
             let t0 = Instant::now();
             let failed = self.backend().bulk_insert(keys).unwrap_or(keys.len());
             self.stats.record_flush(keys.len(), t0.elapsed());
@@ -1062,7 +851,7 @@ impl<B: ServiceBackend> WorkerConfig<B> {
                 }
                 for (p, outcome) in run.zip(outcomes) {
                     self.record_latency(&p);
-                    p.ack.fulfill(outcome.inserted());
+                    p.answer(outcome.inserted());
                 }
             }
             Err(_) => {
@@ -1070,7 +859,7 @@ impl<B: ServiceBackend> WorkerConfig<B> {
                 self.stats.insert_failures.fetch_add(keys.len() as u64, Ordering::Relaxed);
                 for p in run {
                     self.record_latency(&p);
-                    p.ack.fulfill(false);
+                    p.answer(false);
                 }
             }
         }
@@ -1086,7 +875,7 @@ impl<B: ServiceBackend> WorkerConfig<B> {
             self.stats.query_hits.fetch_add(n_hits, Ordering::Relaxed);
             for (p, hit) in run.zip(hits) {
                 self.record_latency(&p);
-                p.ack.fulfill(hit);
+                p.answer(hit);
             }
             return;
         }
@@ -1107,7 +896,7 @@ impl<B: ServiceBackend> WorkerConfig<B> {
         self.stats.query_hits.fetch_add(n_hits, Ordering::Relaxed);
         for (p, &hit) in run.zip(q.verdicts.iter()) {
             self.record_latency(&p);
-            p.ack.fulfill(hit);
+            p.answer(hit);
         }
     }
 
@@ -1192,14 +981,14 @@ impl<B: ServiceBackend> WorkerConfig<B> {
     fn flush_deletes(&self, keys: &[u64], run: std::vec::Drain<'_, Pending>) {
         let Some(hooks) = self.delete_fn else {
             // Unreachable through the public API (handles refuse deletes on
-            // a non-deletable service); dropping the acks aborts waiters.
+            // a non-deletable service); dropping the claims aborts waiters.
             drop(run);
             return;
         };
         // Fully pipelined runs read no per-key answers; keep them on the
         // cheaper aggregate path.
-        let wants_acks = run.as_slice().iter().any(|p| p.ack.wants_report());
-        if !wants_acks {
+        let wants_answers = run.as_slice().iter().any(|p| p.claim.is_some());
+        if !wants_answers {
             let t0 = Instant::now();
             if (hooks.aggregate)(&self.backend(), keys).is_err() {
                 self.stats.delete_failures.fetch_add(keys.len() as u64, Ordering::Relaxed);
@@ -1225,13 +1014,13 @@ impl<B: ServiceBackend> WorkerConfig<B> {
             self.stats.delete_failures.fetch_add(keys.len() as u64, Ordering::Relaxed);
             for p in run {
                 self.record_latency(&p);
-                p.ack.fulfill(false);
+                p.answer(false);
             }
             return;
         }
         for (p, outcome) in run.zip(outcomes) {
             self.record_latency(&p);
-            p.ack.fulfill(outcome.removed());
+            p.answer(outcome.removed());
         }
     }
 }
@@ -1269,7 +1058,7 @@ impl ServiceHandle {
         rs: &RouteState,
         shard: usize,
         task: Task,
-        accepted: Option<&std::sync::atomic::AtomicU64>,
+        accepted: Option<&AtomicU64>,
     ) -> Result<(), FilterError> {
         let n = task.ops();
         self.stats.enqueued(n);
@@ -1295,26 +1084,73 @@ impl ServiceHandle {
         }
     }
 
+    /// Refuse `op` unless it is a data operation this service serves.
+    fn admit(&self, op: OpKind) -> Result<(), FilterError> {
+        match op {
+            OpKind::Insert | OpKind::Query => Ok(()),
+            OpKind::Delete if self.deletes => Ok(()),
+            OpKind::Delete => Err(FilterError::Unsupported("service built without deletes")),
+            _ => Err(FilterError::Unsupported("submit_batch serves data ops only")),
+        }
+    }
+
+    /// The one submission path: route `keys`, build each shard's task —
+    /// with a claim on `gate` per key, slot = input position, when the
+    /// caller wants answers — and send it; a one-key call sends
+    /// [`Task::One`]. Every shard is tried even after one refuses, so
+    /// each key is either enqueued or counted in
+    /// [`ServiceStats::rejected`]; any refusal reports `ServiceStopped`.
+    /// A refused task drops its claims, aborting their slots.
+    fn fan_out(
+        &self,
+        op: OpKind,
+        keys: &[u64],
+        gate: Option<&Arc<Gate>>,
+    ) -> Result<(), FilterError> {
+        let accepted = match op {
+            OpKind::Insert => &self.stats.inserts,
+            OpKind::Query => &self.stats.queries,
+            _ => &self.stats.deletes,
+        };
+        let at = Instant::now();
+        let pending =
+            |key, slot| Pending { kind: op, key, at, claim: gate.map(|g| Claim::new(g, slot)) };
+        let rs = self.route_state();
+        if let &[key] = keys {
+            let task = Task::One(pending(key, 0));
+            return self.send(&rs, rs.router.route(key), task, Some(accepted));
+        }
+        let (by_shard, positions) = rs.router.partition(keys);
+        let mut sent = Ok(());
+        for (shard, (shard_keys, slots)) in by_shard.into_iter().zip(positions).enumerate() {
+            if shard_keys.is_empty() {
+                continue;
+            }
+            let ops = shard_keys.into_iter().zip(slots).map(|(k, slot)| pending(k, slot)).collect();
+            if let Err(e) = self.send(&rs, shard, Task::Many(ops), Some(accepted)) {
+                sent = Err(e);
+            }
+        }
+        sent
+    }
+
+    /// Fan `keys` out under a parking gate and wait for every answer, in
+    /// submission order.
+    fn call(&self, op: OpKind, keys: &[u64]) -> Result<Vec<bool>, FilterError> {
+        self.admit(op)?;
+        let gate = Gate::new(keys.len(), None);
+        let sent = self.fan_out(op, keys, Some(&gate));
+        gate.settle(sent)
+    }
+
     /// Insert one key, parking until its batch flushes. Returns
     /// `Err(Full)` when the owning shard's backend rejected the key and
     /// `Err(ServiceStopped)` when the service shut down first.
     pub fn insert(&self, key: u64) -> Result<(), FilterError> {
-        let gate = OpGate::new(1);
-        let ack = Ack::Insert(InsertAck::new(Arc::clone(&gate)));
-        {
-            let rs = self.route_state();
-            let shard = rs.router.route(key);
-            self.send(
-                &rs,
-                shard,
-                Task::One(Pending::insert(key, Instant::now(), ack)),
-                Some(&self.stats.inserts),
-            )?;
-        }
-        match gate.wait() {
-            (_, aborted) if aborted > 0 => Err(FilterError::ServiceStopped),
-            (0, _) => Ok(()),
-            _ => Err(FilterError::Full),
+        if self.call(OpKind::Insert, &[key])?[0] {
+            Ok(())
+        } else {
+            Err(FilterError::Full)
         }
     }
 
@@ -1327,22 +1163,7 @@ impl ServiceHandle {
 
     /// Query one key; `Err(ServiceStopped)` if the service shut down.
     pub fn query(&self, key: u64) -> Result<bool, FilterError> {
-        let gate = QueryGate::new(1);
-        let ack = Ack::Slot(QueryAck::new(Arc::clone(&gate), 0));
-        {
-            let rs = self.route_state();
-            let shard = rs.router.route(key);
-            self.send(
-                &rs,
-                shard,
-                Task::One(Pending::query(key, Instant::now(), ack)),
-                Some(&self.stats.queries),
-            )?;
-        }
-        match gate.wait() {
-            (_, aborted) if aborted > 0 => Err(FilterError::ServiceStopped),
-            (results, _) => Ok(results[0]),
-        }
+        Ok(self.call(OpKind::Query, &[key])?[0])
     }
 
     /// Remove one previously-inserted key; `Ok(true)` when a matching
@@ -1350,187 +1171,51 @@ impl ServiceHandle {
     /// [`ShardedFilterBuilder::build_deletable`]. If the backend refuses
     /// the delete batch with an error, nothing is removed: the call
     /// reports `Ok(false)` and the failure is counted in
-    /// [`ServiceStats::delete_failures`](crate::ServiceStats).
+    /// [`ServiceStats::delete_failures`].
     pub fn remove(&self, key: u64) -> Result<bool, FilterError> {
-        if !self.deletes {
-            return Err(FilterError::Unsupported("service built without deletes"));
-        }
-        let gate = QueryGate::new(1);
-        let ack = Ack::Slot(QueryAck::new(Arc::clone(&gate), 0));
-        {
-            let rs = self.route_state();
-            let shard = rs.router.route(key);
-            self.send(
-                &rs,
-                shard,
-                Task::One(Pending::delete(key, Instant::now(), ack)),
-                Some(&self.stats.deletes),
-            )?;
-        }
-        match gate.wait() {
-            (_, aborted) if aborted > 0 => Err(FilterError::ServiceStopped),
-            (results, _) => Ok(results[0]),
-        }
+        Ok(self.call(OpKind::Delete, &[key])?[0])
     }
 
     /// Insert a batch, parking until every key's flush completes. Returns
     /// the number of keys the backends rejected (0 on full success),
     /// mirroring [`filter_core::BulkFilter::bulk_insert`].
     pub fn insert_batch(&self, keys: &[u64]) -> Result<usize, FilterError> {
-        if keys.is_empty() {
-            return Ok(0);
-        }
-        let gate = OpGate::new(keys.len());
-        let at = Instant::now();
-        let mut send_failed = false;
-        {
-            let rs = self.route_state();
-            let (by_shard, _) = rs.router.partition(keys);
-            for (shard, shard_keys) in by_shard.into_iter().enumerate() {
-                if shard_keys.is_empty() {
-                    continue;
-                }
-                let ops: Vec<Pending> = shard_keys
-                    .into_iter()
-                    .map(|k| Pending::insert(k, at, Ack::Insert(InsertAck::new(Arc::clone(&gate)))))
-                    .collect();
-                send_failed |=
-                    self.send(&rs, shard, Task::Many(ops), Some(&self.stats.inserts)).is_err();
-            }
-        }
-        let (failures, aborted) = gate.wait();
-        if send_failed || aborted > 0 {
-            return Err(FilterError::ServiceStopped);
-        }
-        Ok(failures)
+        Ok(self.call(OpKind::Insert, keys)?.iter().filter(|&&ok| !ok).count())
     }
 
     /// Query a batch, parking until flushed; `out[i]` answers `keys[i]`.
     pub fn query_batch(&self, keys: &[u64]) -> Result<Vec<bool>, FilterError> {
-        if keys.is_empty() {
-            return Ok(Vec::new());
-        }
-        let gate = QueryGate::new(keys.len());
-        let at = Instant::now();
-        let mut send_failed = false;
-        {
-            let rs = self.route_state();
-            let (by_shard, positions) = rs.router.partition(keys);
-            for (shard, (shard_keys, pos)) in by_shard.into_iter().zip(positions).enumerate() {
-                if shard_keys.is_empty() {
-                    continue;
-                }
-                let ops: Vec<Pending> = shard_keys
-                    .into_iter()
-                    .zip(pos)
-                    .map(|(k, p)| {
-                        Pending::query(k, at, Ack::Slot(QueryAck::new(Arc::clone(&gate), p)))
-                    })
-                    .collect();
-                send_failed |=
-                    self.send(&rs, shard, Task::Many(ops), Some(&self.stats.queries)).is_err();
-            }
-        }
-        let (results, aborted) = gate.wait();
-        if send_failed || aborted > 0 {
-            return Err(FilterError::ServiceStopped);
-        }
-        Ok(results)
+        self.call(OpKind::Query, keys)
     }
 
     /// Delete a batch, parking until flushed; returns how many keys were
     /// *not* present (mirroring [`filter_core::BulkDeletable`]). Keys in
     /// a backend-refused delete batch count as not present and are
-    /// recorded in [`ServiceStats::delete_failures`](crate::ServiceStats).
+    /// recorded in [`ServiceStats::delete_failures`].
     pub fn delete_batch(&self, keys: &[u64]) -> Result<usize, FilterError> {
-        if !self.deletes {
-            return Err(FilterError::Unsupported("service built without deletes"));
-        }
-        if keys.is_empty() {
-            return Ok(0);
-        }
-        let gate = QueryGate::new(keys.len());
-        let at = Instant::now();
-        let mut send_failed = false;
-        {
-            let rs = self.route_state();
-            let (by_shard, positions) = rs.router.partition(keys);
-            for (shard, (shard_keys, pos)) in by_shard.into_iter().zip(positions).enumerate() {
-                if shard_keys.is_empty() {
-                    continue;
-                }
-                let ops: Vec<Pending> = shard_keys
-                    .into_iter()
-                    .zip(pos)
-                    .map(|(k, p)| {
-                        Pending::delete(k, at, Ack::Slot(QueryAck::new(Arc::clone(&gate), p)))
-                    })
-                    .collect();
-                send_failed |=
-                    self.send(&rs, shard, Task::Many(ops), Some(&self.stats.deletes)).is_err();
-            }
-        }
-        let (results, aborted) = gate.wait();
-        if send_failed || aborted > 0 {
-            return Err(FilterError::ServiceStopped);
-        }
-        Ok(results.iter().filter(|&&found| !found).count())
+        Ok(self.call(OpKind::Delete, keys)?.iter().filter(|&&found| !found).count())
     }
 
     /// Fire-and-forget insert: enqueue and return. Failures surface only
     /// in [`ServiceStats::insert_failures`]; call [`Self::barrier`] to
     /// bound completion.
     pub fn insert_pipelined(&self, key: u64) -> Result<(), FilterError> {
-        let rs = self.route_state();
-        let shard = rs.router.route(key);
-        self.send(
-            &rs,
-            shard,
-            Task::One(Pending::insert(key, Instant::now(), Ack::Fire)),
-            Some(&self.stats.inserts),
-        )
+        self.fan_out(OpKind::Insert, &[key], None)
     }
 
-    /// Fire-and-forget batch insert (pre-routed, no completion gate).
+    /// Fire-and-forget batch insert (pre-routed, no completion gate). A
+    /// stopped shard does not stop the others: every shard is tried,
+    /// then `ServiceStopped` reports the refusal.
     pub fn insert_batch_pipelined(&self, keys: &[u64]) -> Result<(), FilterError> {
-        if keys.is_empty() {
-            return Ok(());
-        }
-        let at = Instant::now();
-        let rs = self.route_state();
-        let (by_shard, _) = rs.router.partition(keys);
-        for (shard, shard_keys) in by_shard.into_iter().enumerate() {
-            if shard_keys.is_empty() {
-                continue;
-            }
-            let ops: Vec<Pending> =
-                shard_keys.into_iter().map(|k| Pending::insert(k, at, Ack::Fire)).collect();
-            self.send(&rs, shard, Task::Many(ops), Some(&self.stats.inserts))?;
-        }
-        Ok(())
+        self.fan_out(OpKind::Insert, keys, None)
     }
 
     /// Fire-and-forget batch delete (window expiry in streaming dedup and
-    /// similar). Requires delete support.
+    /// similar). Requires delete support; refusals report like
+    /// [`Self::insert_batch_pipelined`].
     pub fn delete_batch_pipelined(&self, keys: &[u64]) -> Result<(), FilterError> {
-        if !self.deletes {
-            return Err(FilterError::Unsupported("service built without deletes"));
-        }
-        if keys.is_empty() {
-            return Ok(());
-        }
-        let at = Instant::now();
-        let rs = self.route_state();
-        let (by_shard, _) = rs.router.partition(keys);
-        for (shard, shard_keys) in by_shard.into_iter().enumerate() {
-            if shard_keys.is_empty() {
-                continue;
-            }
-            let ops: Vec<Pending> =
-                shard_keys.into_iter().map(|k| Pending::delete(k, at, Ack::Fire)).collect();
-            self.send(&rs, shard, Task::Many(ops), Some(&self.stats.deletes))?;
-        }
-        Ok(())
+        self.admit(OpKind::Delete)?;
+        self.fan_out(OpKind::Delete, keys, None)
     }
 
     /// Submit a batch asynchronously: enqueue every key and return
@@ -1558,68 +1243,39 @@ impl ServiceHandle {
         keys: &[u64],
         on_done: impl FnOnce(BatchReport) + Send + 'static,
     ) -> Result<(), FilterError> {
-        let (kind, counter) = match op {
-            OpKind::Insert => (KIND_INSERT, &self.stats.inserts),
-            OpKind::Query => (KIND_QUERY, &self.stats.queries),
-            OpKind::Delete if self.deletes => (KIND_DELETE, &self.stats.deletes),
-            OpKind::Delete => {
-                return Err(FilterError::Unsupported("service built without deletes"))
-            }
-            _ => return Err(FilterError::Unsupported("submit_batch serves data ops only")),
-        };
+        self.admit(op)?;
         if keys.is_empty() {
             on_done(BatchReport { results: Vec::new(), aborted: 0 });
             return Ok(());
         }
-        let gate = AsyncGate::new(keys.len(), Box::new(on_done));
-        let at = Instant::now();
-        let rs = self.route_state();
-        let (by_shard, positions) = rs.router.partition(keys);
-        for (shard, (shard_keys, pos)) in by_shard.into_iter().zip(positions).enumerate() {
-            if shard_keys.is_empty() {
-                continue;
-            }
-            let ops: Vec<Pending> = shard_keys
-                .into_iter()
-                .zip(pos)
-                .map(|(k, p)| Pending {
-                    kind,
-                    key: k,
-                    at,
-                    ack: Ack::Async(AsyncAck::new(Arc::clone(&gate), p)),
-                })
-                .collect();
-            // A refused send (service stopped) drops the ops, aborting
-            // their slots — the callback still fires, with `aborted`
-            // accounting for them. Single-path reporting, no double error.
-            let _ = self.send(&rs, shard, Task::Many(ops), Some(counter));
-        }
+        let gate = Gate::new(keys.len(), Some(Box::new(on_done)));
+        // A refused send aborts its slots, so the callback still fires
+        // and `aborted` accounts for them: one report, no second error.
+        let _ = self.fan_out(op, keys, Some(&gate));
         Ok(())
     }
 
     /// Park until every operation enqueued (by any handle) before this
     /// call has been flushed on every shard.
     pub fn barrier(&self) -> Result<(), FilterError> {
-        let (gate, send_failed) = {
+        let (gate, sent) = {
             let rs = self.route_state();
             // A stopped service has no senders left; a zero-fence barrier
             // would report success for work that never flushed.
             if rs.senders.is_empty() {
                 return Err(FilterError::ServiceStopped);
             }
-            let gate = OpGate::new(rs.senders.len());
-            let mut send_failed = false;
+            let gate = Gate::new(rs.senders.len(), None);
+            let mut sent = Ok(());
             for shard in 0..rs.senders.len() {
-                let ack = InsertAck::new(Arc::clone(&gate));
-                send_failed |= self.send(&rs, shard, Task::Barrier(ack), None).is_err();
+                let fence = Task::Barrier(Claim::new(&gate, shard as u32));
+                if let Err(e) = self.send(&rs, shard, fence, None) {
+                    sent = Err(e);
+                }
             }
-            (gate, send_failed)
+            (gate, sent)
         };
-        let (_, aborted) = gate.wait();
-        if send_failed || aborted > 0 {
-            return Err(FilterError::ServiceStopped);
-        }
-        Ok(())
+        gate.settle(sent).map(drop)
     }
 
     /// Whether this service supports delete operations.
@@ -1627,10 +1283,10 @@ impl ServiceHandle {
         self.deletes
     }
 
-    /// The router currently in use (e.g. to co-locate auxiliary
-    /// per-shard state). By value: a resize replaces the live router,
-    /// so cache this only for as long as the shard count is known stable.
-    pub fn router(&self) -> ServiceRouter {
+    /// The ring currently in use (e.g. to co-locate auxiliary per-shard
+    /// state). By value: a resize replaces the live ring, so cache this
+    /// only for as long as the shard count is known stable.
+    pub fn router(&self) -> RingRouter {
         self.route_state().router.clone()
     }
 }
@@ -1740,9 +1396,9 @@ impl<B: ServiceBackend + 'static> ShardedFilter<B> {
         self.route_state().router.shards()
     }
 
-    /// The router currently mapping keys to shards (by value: resizes
+    /// The ring currently mapping keys to shards (by value: resizes
     /// replace it).
-    pub fn router(&self) -> ServiceRouter {
+    pub fn router(&self) -> RingRouter {
         self.route_state().router.clone()
     }
 
@@ -1771,10 +1427,8 @@ impl<B: ServiceBackend + 'static> ShardedFilter<B> {
 
     /// Live elastic resize: move the fleet to `new_shards` — more
     /// (scale-out) or fewer (scale-in) — migrating contents by merging so
-    /// no acknowledged key loses its membership answer. Under the default
-    /// ring routing *any* resize sequence is valid (4 → 6 → 3 → 8 …);
-    /// under [`ShardedFilterBuilder::splitmix_routing`] one count must
-    /// divide the other (the only family whose splitmix ranges nest).
+    /// no acknowledged key loses its membership answer. *Any* resize
+    /// sequence is valid (4 → 6 → 3 → 8 …).
     ///
     /// `make(shard_index)` builds the new backends (size them with
     /// [`ShardedFilterBuilder::shard_spec`] over the *new* shard count,
@@ -1785,7 +1439,7 @@ impl<B: ServiceBackend + 'static> ShardedFilter<B> {
     /// Correctness under concurrent traffic: intake pauses (handles block
     /// on the shared routing state) while the old workers drain and stop,
     /// so no enqueued operation is lost and blocking callers are answered
-    /// before migration begins. [`ServiceRouter::inheritors`] then names,
+    /// before migration begins. [`RingRouter::inheritors`] then names,
     /// for every new shard, exactly the old backends whose key-space arcs
     /// it takes over — on a scale-out mostly its own predecessor, on a
     /// scale-in additionally the decommissioned shards' arcs, which the
@@ -1831,14 +1485,6 @@ impl<B: ServiceBackend + 'static> ShardedFilter<B> {
                 "set_shards: shard count must be positive".to_string(),
             ));
         }
-        let counts_nest =
-            new_shards.is_multiple_of(old_shards) || old_shards.is_multiple_of(new_shards);
-        if !self.cfg.ring_routing && !counts_nest {
-            return Err(FilterError::BadConfig(format!(
-                "set_shards: splitmix routing resizes only when one shard count divides the \
-                 other ({old_shards} → {new_shards}); the default ring routing lifts this"
-            )));
-        }
         let grow_factor = hooks.auto.map(|(_, f)| f).unwrap_or(2);
 
         // Build the new fleet and router before pausing intake.
@@ -1869,7 +1515,7 @@ impl<B: ServiceBackend + 'static> ShardedFilter<B> {
         // whose arcs it takes over), plus the movement estimate for the
         // ledger — measured routing churn on a deterministic key probe,
         // scaled by the old fleet's estimated live item count.
-        let inherit = ServiceRouter::inheritors(&rs.router, &new_router);
+        let inherit = RingRouter::inheritors(&rs.router, &new_router);
         let moved_fraction = rs.router.moved_fraction(&new_router, MOVE_PROBE_KEYS);
         let est_items: f64 = self
             .backends
@@ -1943,15 +1589,6 @@ impl<B: ServiceBackend + 'static> ShardedFilter<B> {
             .keys_moved
             .fetch_add((moved_fraction * est_items).round() as u64, Ordering::Relaxed);
         Ok(())
-    }
-
-    /// Alias of [`Self::set_shards`], kept from when live resizing could
-    /// only multiply the fleet.
-    pub fn resize_shards<F>(&mut self, new_shards: usize, make: F) -> Result<(), FilterError>
-    where
-        F: FnMut(usize) -> Result<B, FilterError>,
-    {
-        self.set_shards(new_shards, make)
     }
 
     /// Stop accepting work, flush every shard, join the workers, and hand
@@ -2065,6 +1702,22 @@ mod async_tests {
     }
 
     #[test]
+    fn pipelined_batches_try_every_shard_after_a_refusal() {
+        let svc = ShardedFilterBuilder::new()
+            .shards(4)
+            .build_deletable(|_| BulkTcf::new(1 << 12))
+            .unwrap();
+        let (h, ctl) = (svc.handle(), svc.control());
+        drop(svc.shutdown());
+        let keys = filter_core::hashed_keys(3, 400);
+        assert!(matches!(h.insert_batch_pipelined(&keys), Err(FilterError::ServiceStopped)));
+        assert!(matches!(h.delete_batch_pipelined(&keys), Err(FilterError::ServiceStopped)));
+        let stats = ctl.stats();
+        assert_eq!(stats.rejected, 800, "every key of every refused shard is counted");
+        assert_eq!(stats.queue_depth, 0);
+    }
+
+    #[test]
     fn skew_fast_path_counts_and_epoch_invalidation_tracks_mutations() {
         let svc = ShardedFilterBuilder::new()
             .shards(1)
@@ -2158,10 +1811,69 @@ mod builder_tests {
         let b = ShardedFilterBuilder::new();
         assert!(b.coalesce, "coalescing defaults on");
         assert_eq!(b.cache_entries, 0, "cache defaults off");
-        assert!(b.pool_scratch, "scratch pooling defaults on");
-        let b = b.coalesce_queries(false).query_cache(512).pool_scratch(false);
+        let b = b.coalesce_queries(false).query_cache(512);
         assert!(!b.coalesce);
         assert_eq!(b.cache_entries, 512);
-        assert!(!b.pool_scratch);
+    }
+}
+
+#[cfg(test)]
+mod gate_tests {
+    use super::*;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::{OnceLock, Weak};
+
+    #[test]
+    fn parked_gate_returns_fulfilled_values_and_counts_dropped_claims() {
+        let gate = Gate::new(5, None);
+        let claims: Vec<Claim> = (0..5).map(|slot| Claim::new(&gate, slot)).collect();
+        let waiter = {
+            let gate = Arc::clone(&gate);
+            std::thread::spawn(move || gate.wait())
+        };
+        for (slot, claim) in claims.into_iter().enumerate() {
+            match slot {
+                1 | 3 => drop(claim),
+                _ => claim.fulfill(slot != 2),
+            }
+        }
+        let report = waiter.join().unwrap();
+        assert_eq!(report.results, vec![true, false, false, false, true]);
+        assert_eq!(report.aborted, 2, "dropped claims count as aborted");
+    }
+
+    #[test]
+    fn callback_gate_fires_once_after_its_last_claim_outside_the_lock() {
+        for drop_last in [false, true] {
+            let fired = Arc::new(AtomicUsize::new(0));
+            let report = Arc::new(Mutex::new(None));
+            let me: Arc<OnceLock<Weak<Gate>>> = Arc::default();
+            let on_done = {
+                let (fired, report, me) =
+                    (Arc::clone(&fired), Arc::clone(&report), Arc::clone(&me));
+                move |r: BatchReport| {
+                    let gate = me.get().and_then(Weak::upgrade).expect("gate alive");
+                    assert!(gate.state.try_lock().is_ok(), "callback ran under the gate lock");
+                    fired.fetch_add(1, Ordering::Relaxed);
+                    *report.lock().unwrap() = Some(r);
+                }
+            };
+            let gate = Gate::new(3, Some(Box::new(on_done)));
+            me.set(Arc::downgrade(&gate)).unwrap();
+            let mut claims: Vec<Claim> = (0..3).map(|slot| Claim::new(&gate, slot)).collect();
+            let last = claims.pop().unwrap();
+            drop(claims.pop());
+            claims.pop().unwrap().fulfill(true);
+            assert_eq!(fired.load(Ordering::Relaxed), 0, "fired before its last claim");
+            if drop_last {
+                drop(last);
+            } else {
+                last.fulfill(true);
+            }
+            assert_eq!(fired.load(Ordering::Relaxed), 1, "the last claim fires exactly once");
+            let r = report.lock().unwrap().take().unwrap();
+            assert_eq!(r.results, vec![true, false, !drop_last]);
+            assert_eq!(r.aborted, 1 + usize::from(drop_last));
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! Service metrics: the serving-layer analogue of [`gpu_sim`]'s
+//! Service metrics: the serving-layer analogue of `gpu_sim`'s
 //! `KernelStats`. Where the substrate counts memory transactions per kernel
 //! launch, the service counts operations per flush — throughput, the
 //! batch-size histogram (how well aggregation is amortizing per-call
@@ -112,9 +112,9 @@ impl RatioHistogram {
     }
 }
 
-/// Number of latency buckets: one underflow bucket below 2^[`LAT_OCT_MIN`]
+/// Number of latency buckets: one underflow bucket below 2^`LAT_OCT_MIN`
 /// ns, then 4 log-linear sub-buckets per power of two up to
-/// 2^[`LAT_OCT_MAX`] ns (the last bucket absorbs everything larger).
+/// 2^`LAT_OCT_MAX` ns (the last bucket absorbs everything larger).
 pub const LAT_BUCKETS: usize = 1 + 4 * (LAT_OCT_MAX - LAT_OCT_MIN + 1) as usize;
 /// Smallest resolved octave: 2^10 ns ≈ 1 µs.
 const LAT_OCT_MIN: u32 = 10;

@@ -1,10 +1,10 @@
-//! Property tests for the routing layer (splitmix baseline and the
-//! consistent-hash ring) and its end-to-end guarantee: routing is a
-//! deterministic function of the key, shards partition the key space,
-//! ring loads are near-uniform, resizes move a bounded key fraction, and
-//! membership through a sharded service never yields false negatives.
+//! Property tests for the consistent-hash ring router and its end-to-end
+//! guarantee: routing is a deterministic function of the key, shards
+//! partition the key space, ring loads are near-uniform, resizes move a
+//! bounded key fraction, and membership through a sharded service never
+//! yields false negatives.
 
-use filter_service::{RingRouter, ShardRouter, ShardedFilterBuilder};
+use filter_service::{RingRouter, ShardedFilterBuilder};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use tcf::BulkTcf;
@@ -17,12 +17,12 @@ fn probe_keys(m: u64) -> impl Iterator<Item = u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The route is a pure function of (key, shard count, seed): two
-    /// independently constructed routers always agree.
+    /// Ring routing is a pure function of (key, shard count, seed, vnode
+    /// count): independently constructed rings always agree.
     #[test]
-    fn routing_is_deterministic(keys in vec(any::<u64>(), 1..500), shards in 1usize..32) {
-        let a = ShardRouter::new(shards);
-        let b = ShardRouter::new(shards);
+    fn ring_routing_is_deterministic(keys in vec(any::<u64>(), 1..500), shards in 1usize..32) {
+        let a = RingRouter::new(shards);
+        let b = RingRouter::new(shards);
         for &k in &keys {
             prop_assert_eq!(a.route(k), b.route(k));
             prop_assert_eq!(a.route(k), a.route(k));
@@ -31,10 +31,10 @@ proptest! {
 
     /// Shards partition the key space: every key routes to exactly one
     /// in-range shard, and partition() scatters each key to exactly that
-    /// shard with its input position preserved.
+    /// shard with its input position preserved and claimed exactly once.
     #[test]
-    fn shards_partition_the_key_space(keys in vec(any::<u64>(), 1..500), shards in 1usize..32) {
-        let r = ShardRouter::new(shards);
+    fn ring_partition_matches_route(keys in vec(any::<u64>(), 1..500), shards in 1usize..32) {
+        let r = RingRouter::new(shards);
         let (by_shard, positions) = r.partition(&keys);
         prop_assert_eq!(by_shard.len(), shards);
         let total: usize = by_shard.iter().map(|v| v.len()).sum();
@@ -50,36 +50,6 @@ proptest! {
             }
         }
         prop_assert!(seen.iter().all(|&x| x));
-    }
-
-    /// Ring routing is a pure function of (key, shard count, seed, vnode
-    /// count): independently constructed rings always agree.
-    #[test]
-    fn ring_routing_is_deterministic(keys in vec(any::<u64>(), 1..500), shards in 1usize..32) {
-        let a = RingRouter::new(shards);
-        let b = RingRouter::new(shards);
-        for &k in &keys {
-            prop_assert_eq!(a.route(k), b.route(k));
-            prop_assert_eq!(a.route(k), a.route(k));
-        }
-    }
-
-    /// The ring's partition() agrees with route() and preserves input
-    /// positions, exactly like the splitmix baseline.
-    #[test]
-    fn ring_partition_matches_route(keys in vec(any::<u64>(), 1..500), shards in 1usize..32) {
-        let r = RingRouter::new(shards);
-        let (by_shard, positions) = r.partition(&keys);
-        prop_assert_eq!(by_shard.len(), shards);
-        let total: usize = by_shard.iter().map(|v| v.len()).sum();
-        prop_assert_eq!(total, keys.len(), "keys lost or duplicated across shards");
-        for (s, (ks, ps)) in by_shard.iter().zip(&positions).enumerate() {
-            prop_assert_eq!(ks.len(), ps.len());
-            for (&k, &p) in ks.iter().zip(ps) {
-                prop_assert_eq!(r.route(k), s, "key in a shard it does not route to");
-                prop_assert_eq!(keys[p as usize], k);
-            }
-        }
     }
 
     /// Sampled key loads at the default 128 vnodes stay within ±10% of
@@ -105,8 +75,7 @@ proptest! {
     }
 
     /// An n → n±1 resize re-routes at most 2·m/n of m sampled keys — the
-    /// consistent-hashing economics `set_shards` relies on (the
-    /// multiplicative baseline moves (k−1)/k of the space instead).
+    /// consistent-hashing economics `set_shards` relies on.
     #[test]
     fn ring_resize_moves_a_bounded_fraction(shards in 2usize..24, up in any::<bool>()) {
         let m = 20_000u64;

@@ -134,7 +134,7 @@ impl GpuBuffer {
     }
 
     /// Read a slot without counting traffic — for data already staged in
-    /// shared memory / registers by a prior [`Self::load_line_of`].
+    /// shared memory / registers by a prior [`Self::load_span`].
     #[inline]
     pub fn read_free(&self, slot: usize) -> u64 {
         crate::shadow::record(self.shadow_id, slot, slot + 1, false);

@@ -9,15 +9,15 @@
 //! reachable by exactly one worker per launch. Nothing verified that
 //! claim mechanically until now.
 //!
-//! With `--features race-check`, every [`GpuBuffer`] access made inside a
-//! checked launch ([`crate::Device::par_map`],
+//! With `--features race-check`, every [`GpuBuffer`](crate::GpuBuffer)
+//! access made inside a checked launch ([`crate::Device::par_map`],
 //! [`crate::Device::launch_regions`], [`crate::Device::launch_segments`])
 //! is recorded into a per-launch shadow log as
 //! `(worker, buffer, slot-range, read|write)`, where *worker* is the
 //! simulated task index (the region / item id), **not** the host thread —
 //! the exclusivity invariant is about the simulated machine, and must
 //! hold for every host schedule. When the launch completes,
-//! [`verify_launch`] asserts that across any two distinct workers:
+//! `verify_launch` asserts that across any two distinct workers:
 //!
 //! * write ranges never overlap (write-write race), and
 //! * write ranges never overlap read ranges (read-write race).

@@ -406,7 +406,7 @@ impl GqfCore {
     /// Remove `delta` instances of `(q, r)`. Returns `true` if the
     /// fingerprint was present.
     ///
-    /// Re-encodes only `q`'s run; if the run shrank, [`Self::slide_left`]
+    /// Re-encodes only `q`'s run; if the run shrank, `slide_left`
     /// closes the freed slots. Requires exclusive access to the cluster.
     pub fn delete(&self, q: usize, r: u64, delta: u64) -> Result<bool, FilterError> {
         let mut cur = self.meta.cursor();

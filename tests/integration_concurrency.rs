@@ -227,9 +227,9 @@ fn service_over_parallel_backend_loses_no_outcomes_under_mixed_handles() {
 
 #[test]
 fn service_scale_out_loses_no_outcomes_under_live_traffic() {
-    // The PR 5 acceptance gate for the serving layer: resize_shards
-    // doubles the fleet twice while blocking and pipelined clients keep
-    // hammering the service. Every acknowledged key must survive every
+    // The acceptance gate for live scale-out: set_shards doubles the
+    // fleet twice while blocking and pipelined clients keep hammering
+    // the service. Every acknowledged key must survive every
     // migration, no call may error, and the ServiceStats ledger must
     // balance (inserts+deletes+queries accepted == flushed, zero
     // rejected, with the scale-outs and migrations recorded).
@@ -302,7 +302,7 @@ fn service_scale_out_loses_no_outcomes_under_live_traffic() {
         s.spawn(move || {
             for target in [4usize, 8] {
                 std::thread::sleep(Duration::from_millis(5));
-                svc.resize_shards(target, |_| BulkTcf::from_spec(&shard_spec))
+                svc.set_shards(target, |_| BulkTcf::from_spec(&shard_spec))
                     .unwrap_or_else(|e| panic!("scale-out to {target}: {e}"));
                 assert_eq!(svc.shard_count(), target);
             }
