@@ -30,26 +30,42 @@ proptest! {
     }
 
     /// Shards partition the key space: every key routes to exactly one
-    /// in-range shard, and partition() scatters each key to exactly that
-    /// shard with its input position preserved and claimed exactly once.
+    /// in-range shard, and partition() scatters the keys so that each
+    /// input position is claimed by exactly one shard.
     #[test]
-    fn ring_partition_matches_route(keys in vec(any::<u64>(), 1..500), shards in 1usize..32) {
+    fn shards_partition_the_key_space(keys in vec(any::<u64>(), 1..500), shards in 1usize..32) {
         let r = RingRouter::new(shards);
+        for &k in &keys {
+            prop_assert!(r.route(k) < shards, "key routed out of range");
+        }
         let (by_shard, positions) = r.partition(&keys);
         prop_assert_eq!(by_shard.len(), shards);
+        prop_assert_eq!(positions.len(), shards);
         let total: usize = by_shard.iter().map(|v| v.len()).sum();
         prop_assert_eq!(total, keys.len(), "keys lost or duplicated across shards");
         let mut seen = vec![false; keys.len()];
-        for (s, (ks, ps)) in by_shard.iter().zip(&positions).enumerate() {
-            prop_assert_eq!(ks.len(), ps.len());
-            for (&k, &p) in ks.iter().zip(ps) {
-                prop_assert_eq!(r.route(k), s, "key in a shard it does not route to");
-                prop_assert_eq!(keys[p as usize], k);
+        for ps in &positions {
+            for &p in ps {
                 prop_assert!(!seen[p as usize], "input position claimed twice");
                 seen[p as usize] = true;
             }
         }
         prop_assert!(seen.iter().all(|&x| x));
+    }
+
+    /// The ring's partition() agrees with route() and preserves input
+    /// positions.
+    #[test]
+    fn ring_partition_matches_route(keys in vec(any::<u64>(), 1..500), shards in 1usize..32) {
+        let r = RingRouter::new(shards);
+        let (by_shard, positions) = r.partition(&keys);
+        for (s, (ks, ps)) in by_shard.iter().zip(&positions).enumerate() {
+            prop_assert_eq!(ks.len(), ps.len());
+            for (&k, &p) in ks.iter().zip(ps) {
+                prop_assert_eq!(r.route(k), s, "key in a shard it does not route to");
+                prop_assert_eq!(keys[p as usize], k);
+            }
+        }
     }
 
     /// Sampled key loads at the default 128 vnodes stay within ±10% of
