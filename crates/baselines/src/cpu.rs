@@ -6,7 +6,7 @@
 //! filter core driven by host threads through the same region locks, and
 //! the CPU VQF is the two-choice-block design the TCF descends from (§2),
 //! driven by host threads. CPU rows of Table 4 are measured by wall
-//! clock; GPU rows by the device cost model — see DESIGN.md §2.
+//! clock; GPU rows by the device cost model.
 
 use filter_core::{Counting, Deletable, Filter, FilterError, FilterMeta};
 use rayon::prelude::*;

@@ -8,42 +8,33 @@
 //! path processes the batch serially, topping out around 8 M/s, three
 //! orders of magnitude behind the other filters in Fig. 4.
 //!
-//! The occupied/runend metadata scans live in [`GqfCore`], which this
-//! baseline shares with the GQF/SQF: they run word-at-a-time
-//! (`count_ones` rank, `trailing_zeros` select) via the walks in
-//! `gqf::bits`, so the RSQF gets its rank-select lookups without any code
-//! of its own. At 13-bit remainders its slot stores are owner stores; at
-//! 5 bits a remainder word spans two regions and each store is a CAS.
+//! Like the [`Sqf`](crate::Sqf), the filter is a [`BulkGqf`] in a
+//! published configuration: grow and merge are the GQF's, while the
+//! single-thread inserts and the unsorted parallel queries are its own.
+//! The occupied/runend metadata scans live in [`GqfCore`]: they run
+//! word-at-a-time (`count_ones` rank, `trailing_zeros` select) via the
+//! walks in `gqf::bits`, so the RSQF gets its rank-select lookups without
+//! any code of its own. At 13-bit remainders its slot stores are owner
+//! stores; at 5 bits a remainder word spans two regions and each store is
+//! a CAS.
 
 use filter_core::{
-    ApiMode, BulkFilter, Features, FilterError, FilterMeta, FilterSpec, InsertOutcome, Operation,
+    ApiMode, BulkFilter, Features, FilterError, FilterMeta, FilterSpec, InsertOutcome,
+    MaintainableFilter, Operation,
 };
 use gpu_sim::Device;
-use gqf::{GqfCore, Layout};
+use gqf::{BulkGqf, GqfCore};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Geil et al.'s GPU rank-select quotient filter.
 pub struct Rsqf {
-    core: GqfCore,
-    device: Device,
+    gqf: BulkGqf,
 }
 
 impl Rsqf {
     /// Build an RSQF (same width/size limits as the SQF).
     pub fn new(q_bits: u32, r_bits: u32, device: Device) -> Result<Self, FilterError> {
-        if !crate::sqf::SUPPORTED_R_BITS.contains(&r_bits) {
-            return Err(FilterError::BadConfig(format!(
-                "RSQF supports only 5- or 13-bit remainders, got {r_bits}"
-            )));
-        }
-        let q_cap = if r_bits == 5 { 26 } else { 18 };
-        if q_bits > q_cap {
-            return Err(FilterError::CapacityExceeded {
-                requested: 1u64 << q_bits,
-                maximum: 1u64 << q_cap,
-            });
-        }
-        Ok(Rsqf { core: GqfCore::new(Layout::new(q_bits, r_bits)?), device })
+        Ok(Rsqf { gqf: crate::sqf::published_gqf(q_bits, r_bits, device, "RSQF")? })
     }
 
     /// Build from a declarative [`FilterSpec`], with the same published
@@ -66,18 +57,19 @@ impl Rsqf {
 
     /// Shared core.
     pub fn core(&self) -> &GqfCore {
-        &self.core
+        self.gqf.core()
     }
 
     /// The unoptimized insert path: the whole batch on one device thread.
     pub fn insert_batch(&self, keys: &[u64]) -> usize {
-        let l = *self.core.layout();
+        let core = self.gqf.core();
+        let l = *core.layout();
         let failures = AtomicUsize::new(0);
         let failures_ref = &failures;
-        self.device.launch_regions(1, |_| {
+        self.gqf.device().launch_regions(1, |_| {
             for &k in keys {
                 let (q, r) = l.split(filter_core::hash64(k));
-                if self.core.upsert(q, r, 1).is_err() {
+                if core.upsert(q, r, 1).is_err() {
                     failures_ref.fetch_add(1, Ordering::Relaxed);
                 }
             }
@@ -90,13 +82,14 @@ impl Rsqf {
     pub fn insert_batch_report(&self, keys: &[u64], out: &mut [InsertOutcome]) {
         assert_eq!(keys.len(), out.len());
         out.fill(InsertOutcome::Inserted);
-        let l = *self.core.layout();
+        let core = self.gqf.core();
+        let l = *core.layout();
         let failed: Vec<AtomicBool> = (0..keys.len()).map(|_| AtomicBool::new(false)).collect();
         let failed_ref = &failed;
-        self.device.launch_regions(1, |_| {
+        self.gqf.device().launch_regions(1, |_| {
             for (i, &k) in keys.iter().enumerate() {
                 let (q, r) = l.split(filter_core::hash64(k));
-                if self.core.upsert(q, r, 1).is_err() {
+                if core.upsert(q, r, 1).is_err() {
                     failed_ref[i].store(true, Ordering::Relaxed);
                 }
             }
@@ -111,13 +104,13 @@ impl Rsqf {
     /// Fast fully-parallel bulk queries (the RSQF's strong suit, §6.2).
     pub fn query_batch(&self, keys: &[u64], out: &mut [bool]) {
         assert_eq!(keys.len(), out.len());
-        let l = *self.core.layout();
-        let results: Vec<std::sync::atomic::AtomicBool> =
-            (0..keys.len()).map(|_| std::sync::atomic::AtomicBool::new(false)).collect();
+        let core = self.gqf.core();
+        let l = *core.layout();
+        let results: Vec<AtomicBool> = (0..keys.len()).map(|_| AtomicBool::new(false)).collect();
         let results_ref = &results;
-        self.device.launch_point(keys.len(), 1, |i| {
+        self.gqf.device().launch_point(keys.len(), 1, |i| {
             let (q, r) = l.split(filter_core::hash64(keys[i]));
-            results_ref[i].store(self.core.query(q, r) > 0, Ordering::Relaxed);
+            results_ref[i].store(core.query(q, r) > 0, Ordering::Relaxed);
         });
         for (o, r) in out.iter_mut().zip(results) {
             *o = r.into_inner();
@@ -125,19 +118,18 @@ impl Rsqf {
     }
 }
 
-impl filter_core::MaintainableFilter for Rsqf {
+/// The GQF's quotient-bit-extension grow and counted merge.
+impl MaintainableFilter for Rsqf {
     fn load(&self) -> f64 {
-        self.core.load_factor().clamp(0.0, 1.0)
+        self.gqf.load()
     }
 
     fn grow(&mut self, factor: u32) -> Result<(), FilterError> {
-        self.core = crate::sqf::grown_core(&self.core, &self.device, factor, "RSQF")?;
-        Ok(())
+        self.gqf.grow(factor)
     }
 
     fn merge(&mut self, other: &Self) -> Result<(), FilterError> {
-        self.core = crate::sqf::merged_core(&self.core, &self.device, &other.core)?;
-        Ok(())
+        self.gqf.merge(&other.gqf)
     }
 }
 
@@ -156,11 +148,11 @@ impl FilterMeta for Rsqf {
     }
 
     fn table_bytes(&self) -> usize {
-        self.core.bytes()
+        self.gqf.table_bytes()
     }
 
     fn capacity_slots(&self) -> u64 {
-        self.core.layout().canonical_slots() as u64
+        self.gqf.capacity_slots()
     }
 }
 
@@ -189,7 +181,7 @@ impl filter_core::DynFilter for Rsqf {
     }
 
     fn len_hint(&self) -> Option<usize> {
-        Some(self.core.items())
+        Some(self.gqf.core().items())
     }
 
     filter_core::dyn_forward_bulk!();
@@ -227,7 +219,6 @@ mod tests {
 
     #[test]
     fn grow_and_merge_preserve_membership() {
-        use filter_core::MaintainableFilter;
         let mut f = Rsqf::new(13, 5, Device::cori()).unwrap();
         let keys = hashed_keys(92, 4000);
         assert_eq!(f.insert_batch(&keys), 0);

@@ -8,21 +8,25 @@
 //!   rather than the 0.1% target;
 //! * at most 2^26 slots (5-bit remainders) / 2^18 (13-bit);
 //! * bulk API only (Table 1: no point operations, no counting);
+//! * queries sort the batch first (the reference implementation's sorted
+//!   lookup, §6.2);
 //! * deletes run serialized on one device thread in batch order, unsorted
 //!   — the two-orders-of-magnitude gap to the GQF's even-odd phased
 //!   deletes in Fig. 6.
 //!
-//! The quotient-filter core is shared with the GQF crate; the SQF's
-//! packed-slot storage is modeled by separate remainder/metadata arrays
-//! of the same total width (a layout deviation recorded in DESIGN.md —
-//! the traffic profile is within one line per operation).
+//! The filter is a [`BulkGqf`] in a published configuration: its bulk
+//! build, grow and merge are the GQF's, and only the sorted query and the
+//! serialized deletes are its own. The SQF's packed-slot storage is
+//! modeled by the GQF core's separate remainder/metadata arrays of the
+//! same total width, a layout deviation whose traffic profile is within
+//! one line per operation.
 
 use filter_core::{
     ApiMode, BulkDeletable, BulkFilter, DeleteOutcome, Features, FilterError, FilterMeta,
-    FilterSpec, InsertOutcome, Operation,
+    FilterSpec, InsertOutcome, MaintainableFilter, Operation,
 };
 use gpu_sim::Device;
-use gqf::{refill_core, GqfCore, Layout, REGION_SLOTS};
+use gqf::{BulkGqf, GqfCore};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// The SQF's two supported remainder widths.
@@ -48,80 +52,43 @@ pub(crate) fn quotient_geometry(
     Ok((q_bits, r_bits))
 }
 
-/// Grow `core` by quotient-bit extension (q+d, r−d) — the shared SQF/RSQF
-/// [`grow`](filter_core::MaintainableFilter::grow) body, migrating
-/// through [`gqf::refill_core`] (the same even-odd phased primitive the
-/// GQF's own resize uses, so any worker budget grows into the same
-/// table). Returns the replacement core; the caller swaps it in on
-/// success. Grown geometries leave the published 5/13-bit configuration
-/// space (a recorded deviation); the packed-word constraint `q + r < 32`
-/// is preserved because `p` never changes.
-pub(crate) fn grown_core(
-    core: &GqfCore,
-    device: &Device,
-    factor: u32,
+/// The bulk GQF behind an SQF or RSQF, built after the shared
+/// published-configuration check: 5- or 13-bit remainders, and at most
+/// 2^26 slots (r = 5) or 2^18 (r = 13) as in the reference
+/// implementation. Grows leave that configuration space (a recorded
+/// deviation); the packed-word constraint `q + r < 32` still holds
+/// because a grow keeps `p = q + r`.
+pub(crate) fn published_gqf(
+    q_bits: u32,
+    r_bits: u32,
+    device: Device,
     family: &'static str,
-) -> Result<GqfCore, FilterError> {
-    let d = filter_core::growth_steps(factor)?;
-    let old = *core.layout();
-    if old.r_bits < d + 2 {
+) -> Result<BulkGqf, FilterError> {
+    if !SUPPORTED_R_BITS.contains(&r_bits) {
         return Err(FilterError::BadConfig(format!(
-            "{family}: cannot extend quotient by {d} bits with {} remainder bits",
-            old.r_bits
+            "{family} supports only 5- or 13-bit remainders, got {r_bits}"
         )));
     }
-    let bigger = GqfCore::new(Layout::new(old.q_bits + d, old.r_bits - d)?);
-    if refill_core(&bigger, device, core)? > 0 {
-        return Err(FilterError::Full);
+    let q_cap = if r_bits == 5 { 26 } else { 18 };
+    if q_bits > q_cap {
+        return Err(FilterError::CapacityExceeded {
+            requested: 1u64 << q_bits,
+            maximum: 1u64 << q_cap,
+        });
     }
-    Ok(bigger)
-}
-
-/// Merge `other` into a fresh core with `core`'s layout — the shared
-/// SQF/RSQF [`merge`](filter_core::MaintainableFilter::merge) body.
-/// Returns the union core; `NeedsGrowth` when it does not fit at the 90%
-/// recommended load.
-pub(crate) fn merged_core(
-    core: &GqfCore,
-    device: &Device,
-    other: &GqfCore,
-) -> Result<GqfCore, FilterError> {
-    let layout = *core.layout();
-    let union = GqfCore::new(layout);
-    for src in [core, other] {
-        if refill_core(&union, device, src)? > 0 {
-            return Err(FilterError::needs_growth(core.load_factor()));
-        }
-    }
-    if union.load_factor() > 0.9 {
-        return Err(FilterError::needs_growth(union.load_factor()));
-    }
-    Ok(union)
+    BulkGqf::new(q_bits, r_bits, device)
 }
 
 /// Geil et al.'s GPU standard quotient filter.
 pub struct Sqf {
-    core: GqfCore,
-    device: Device,
+    gqf: BulkGqf,
 }
 
 impl Sqf {
     /// Build an SQF. `r_bits` must be 5 or 13; `q_bits` is capped at 26
     /// (r=5) or 18 (r=13) as in the reference implementation.
     pub fn new(q_bits: u32, r_bits: u32, device: Device) -> Result<Self, FilterError> {
-        if !SUPPORTED_R_BITS.contains(&r_bits) {
-            return Err(FilterError::BadConfig(format!(
-                "SQF supports only 5- or 13-bit remainders, got {r_bits}"
-            )));
-        }
-        let q_cap = if r_bits == 5 { 26 } else { 18 };
-        if q_bits > q_cap {
-            return Err(FilterError::CapacityExceeded {
-                requested: 1u64 << q_bits,
-                maximum: 1u64 << q_cap,
-            });
-        }
-        Ok(Sqf { core: GqfCore::new(Layout::new(q_bits, r_bits)?), device })
+        Ok(Sqf { gqf: published_gqf(q_bits, r_bits, device, "SQF")? })
     }
 
     /// Build from a declarative [`FilterSpec`], within the published
@@ -145,109 +112,25 @@ impl Sqf {
 
     /// Shared core (tests, space accounting).
     pub fn core(&self) -> &GqfCore {
-        &self.core
+        self.gqf.core()
     }
 
     /// Current load factor.
     pub fn load_factor(&self) -> f64 {
-        self.core.load_factor()
+        self.gqf.load_factor()
     }
 
-    #[inline]
-    fn stored_hash(&self, key: u64) -> u64 {
-        let l = self.core.layout();
-        let (q, r) = l.split(filter_core::hash64(key));
-        l.join(q, r)
-    }
-
-    fn region_bounds(&self, sorted: &[u64]) -> Vec<usize> {
-        let l = self.core.layout();
-        let mut bounds: Vec<usize> = (0..l.n_regions())
-            .map(|g| gpu_sim::sort::lower_bound(sorted, ((g * REGION_SLOTS) as u64) << l.r_bits))
-            .collect();
-        bounds.push(sorted.len());
-        bounds
-    }
-
-    /// Pair-carrying twin of [`Self::region_bounds`] for the report path.
-    fn region_bounds_pairs(&self, sorted: &[(u64, u64)]) -> Vec<usize> {
-        let l = self.core.layout();
-        let mut bounds: Vec<usize> = (0..l.n_regions())
-            .map(|g| sorted.partition_point(|&(h, _)| h < ((g * REGION_SLOTS) as u64) << l.r_bits))
-            .collect();
-        bounds.push(sorted.len());
-        bounds
-    }
-
-    /// Bulk build: sort the batch and insert region-by-region in two
-    /// phases (the segmented parallel build of the reference
-    /// implementation, expressed with the same region machinery as the
-    /// GQF).
+    /// Bulk build: the segmented parallel build of the reference
+    /// implementation, which is the GQF's sorted even-odd insert
+    /// ([`BulkGqf::insert_batch`]) with the same region machinery.
     pub fn insert_batch(&self, keys: &[u64]) -> usize {
-        let mut hashes: Vec<u64> = keys.iter().map(|&k| self.stored_hash(k)).collect();
-        self.device.sort_u64(&mut hashes);
-        let bounds = self.region_bounds(&hashes);
-        let l = *self.core.layout();
-        let failures = AtomicUsize::new(0);
-        let hashes_ref = &hashes;
-        let failures_ref = &failures;
-        self.phased(&bounds, |range| {
-            for &h in &hashes_ref[range] {
-                let (q, r) = l.split(h);
-                if self.core.upsert(q, r, 1).is_err() {
-                    failures_ref.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        });
-        failures.load(Ordering::Relaxed)
+        self.gqf.insert_batch(keys)
     }
 
-    /// Run `per_region` over every non-empty region's batch range in two
-    /// phases (even regions then odd) — the segmented parallel build
-    /// shared by the aggregate and report insert paths.
-    fn phased(&self, bounds: &[usize], per_region: impl Fn(std::ops::Range<usize>) + Sync) {
-        let n_regions = bounds.len() - 1;
-        for parity in 0..2usize {
-            let regions: Vec<usize> =
-                (0..n_regions).filter(|&g| g % 2 == parity && bounds[g] < bounds[g + 1]).collect();
-            if regions.is_empty() {
-                continue;
-            }
-            let regions_ref = &regions;
-            self.device.launch_regions(regions.len(), |i| {
-                let g = regions_ref[i];
-                per_region(bounds[g]..bounds[g + 1]);
-            });
-        }
-    }
-
-    /// Bulk build with per-key outcomes: `out[i]` answers `keys[i]`. Same
-    /// segmented two-phase flow as [`Self::insert_batch`], with batch
-    /// indices riding through the sort.
+    /// Bulk build with per-key outcomes: `out[i]` answers `keys[i]`
+    /// ([`BulkGqf::insert_batch_report`]).
     pub fn insert_batch_report(&self, keys: &[u64], out: &mut [InsertOutcome]) {
-        assert_eq!(keys.len(), out.len());
-        out.fill(InsertOutcome::Inserted);
-        let mut hashed: Vec<(u64, u64)> =
-            keys.iter().enumerate().map(|(i, &k)| (self.stored_hash(k), i as u64)).collect();
-        self.device.sort_pairs(&mut hashed);
-        let bounds = self.region_bounds_pairs(&hashed);
-        let l = *self.core.layout();
-        let failed: Vec<AtomicBool> = (0..keys.len()).map(|_| AtomicBool::new(false)).collect();
-        let hashed_ref = &hashed;
-        let failed_ref = &failed;
-        self.phased(&bounds, |range| {
-            for &(h, idx) in &hashed_ref[range] {
-                let (q, r) = l.split(h);
-                if self.core.upsert(q, r, 1).is_err() {
-                    failed_ref[idx as usize].store(true, Ordering::Relaxed);
-                }
-            }
-        });
-        for (o, f) in out.iter_mut().zip(&failed) {
-            if f.load(Ordering::Relaxed) {
-                *o = InsertOutcome::Failed;
-            }
-        }
+        self.gqf.insert_batch_report(keys, out)
     }
 
     /// Bulk query using the reference implementation's *sorted* lookup
@@ -255,18 +138,24 @@ impl Sqf {
     /// blames for the SQF's lower query throughput, §6.2).
     pub fn query_batch(&self, keys: &[u64], out: &mut [bool]) {
         assert_eq!(keys.len(), out.len());
-        let mut order: Vec<(u64, u64)> =
-            keys.iter().enumerate().map(|(i, &k)| (self.stored_hash(k), i as u64)).collect();
-        self.device.sort_pairs(&mut order);
-        let l = *self.core.layout();
-        let results: Vec<std::sync::atomic::AtomicBool> =
-            (0..keys.len()).map(|_| std::sync::atomic::AtomicBool::new(false)).collect();
+        let (core, device) = (self.gqf.core(), self.gqf.device());
+        let l = *core.layout();
+        let mut order: Vec<(u64, u64)> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| {
+                let (q, r) = l.split(filter_core::hash64(k));
+                (l.join(q, r), i as u64)
+            })
+            .collect();
+        device.sort_pairs(&mut order);
+        let results: Vec<AtomicBool> = (0..keys.len()).map(|_| AtomicBool::new(false)).collect();
         let order_ref = &order;
         let results_ref = &results;
-        self.device.launch_point(order.len(), 1, |i| {
+        device.launch_point(order.len(), 1, |i| {
             let (h, idx) = order_ref[i];
             let (q, r) = l.split(h);
-            results_ref[idx as usize].store(self.core.query(q, r) > 0, Ordering::Relaxed);
+            results_ref[idx as usize].store(core.query(q, r) > 0, Ordering::Relaxed);
         });
         for (o, r) in out.iter_mut().zip(results) {
             *o = r.into_inner();
@@ -277,14 +166,15 @@ impl Sqf {
     /// unsorted. That serialization, not the per-item delete (the GQF
     /// core's local left slide), is the SQF's Fig. 6 deletion collapse.
     pub fn delete_batch(&self, keys: &[u64]) -> usize {
-        let l = *self.core.layout();
+        let core = self.gqf.core();
+        let l = *core.layout();
         let missing = AtomicUsize::new(0);
         let missing_ref = &missing;
         // One device thread owns the whole delete batch.
-        self.device.launch_regions(1, |_| {
+        self.gqf.device().launch_regions(1, |_| {
             for &k in keys {
                 let (q, r) = l.split(filter_core::hash64(k));
-                if !matches!(self.core.delete(q, r, 1), Ok(true)) {
+                if !matches!(core.delete(q, r, 1), Ok(true)) {
                     missing_ref.fetch_add(1, Ordering::Relaxed);
                 }
             }
@@ -297,13 +187,14 @@ impl Sqf {
     /// attributable.
     pub fn delete_batch_report(&self, keys: &[u64], out: &mut [DeleteOutcome]) {
         assert_eq!(keys.len(), out.len());
-        let l = *self.core.layout();
+        let core = self.gqf.core();
+        let l = *core.layout();
         let removed: Vec<AtomicBool> = (0..keys.len()).map(|_| AtomicBool::new(false)).collect();
         let removed_ref = &removed;
-        self.device.launch_regions(1, |_| {
+        self.gqf.device().launch_regions(1, |_| {
             for (i, &k) in keys.iter().enumerate() {
                 let (q, r) = l.split(filter_core::hash64(k));
-                if matches!(self.core.delete(q, r, 1), Ok(true)) {
+                if matches!(core.delete(q, r, 1), Ok(true)) {
                     removed_ref[i].store(true, Ordering::Relaxed);
                 }
             }
@@ -318,19 +209,18 @@ impl Sqf {
     }
 }
 
-impl filter_core::MaintainableFilter for Sqf {
+/// The GQF's quotient-bit-extension grow and counted merge.
+impl MaintainableFilter for Sqf {
     fn load(&self) -> f64 {
-        self.core.load_factor().clamp(0.0, 1.0)
+        self.gqf.load()
     }
 
     fn grow(&mut self, factor: u32) -> Result<(), FilterError> {
-        self.core = grown_core(&self.core, &self.device, factor, "SQF")?;
-        Ok(())
+        self.gqf.grow(factor)
     }
 
     fn merge(&mut self, other: &Self) -> Result<(), FilterError> {
-        self.core = merged_core(&self.core, &self.device, &other.core)?;
-        Ok(())
+        self.gqf.merge(&other.gqf)
     }
 }
 
@@ -348,11 +238,11 @@ impl FilterMeta for Sqf {
     }
 
     fn table_bytes(&self) -> usize {
-        self.core.bytes()
+        self.gqf.table_bytes()
     }
 
     fn capacity_slots(&self) -> u64 {
-        self.core.layout().canonical_slots() as u64
+        self.gqf.capacity_slots()
     }
 }
 
@@ -396,7 +286,7 @@ impl filter_core::DynFilter for Sqf {
     }
 
     fn len_hint(&self) -> Option<usize> {
-        Some(self.core.items())
+        Some(self.gqf.core().items())
     }
 
     filter_core::dyn_forward_bulk!();
@@ -407,7 +297,7 @@ impl filter_core::DynFilter for Sqf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use filter_core::{hashed_keys, MaintainableFilter};
+    use filter_core::hashed_keys;
 
     fn sqf(q: u32) -> Sqf {
         Sqf::new(q, 5, Device::cori()).unwrap()

@@ -1,4 +1,5 @@
-//! Design-choice ablations called out in §4.1 / §6.8 and DESIGN.md:
+//! Design-choice ablations, from the paper's §4.1 / §6.8 and the claims
+//! cited per item:
 //!
 //! 1. backing table on/off → maximum achievable load factor (paper:
 //!    90% with vs 79.6% without);

@@ -1,7 +1,6 @@
 //! # bench — the paper's evaluation harness
 //!
-//! One binary per table/figure regenerates the corresponding result (see
-//! DESIGN.md §4 for the experiment index):
+//! One binary per table/figure regenerates the corresponding result:
 //!
 //! | target | reproduces |
 //! |---|---|

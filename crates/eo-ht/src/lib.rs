@@ -8,8 +8,9 @@
 //! * [`EoHashTable`] — an *exact* (not approximate) open-addressing
 //!   linear-probing key→value table on the `gpu-sim` substrate, with a
 //!   concurrent point API and a lock-free bulk API that partitions the
-//!   table into 8192-slot regions and inserts even regions then odd
-//!   regions, exactly like the GQF's §5.3 scheme;
+//!   table into 8192-slot regions and updates even regions then odd
+//!   regions through the same substrate primitive as the GQF's §5.3
+//!   scheme ([`gpu_sim::Device::launch_even_odd`]);
 //! * [`EoHashTable::bulk_upsert_locked`] — the locking bulk baseline the
 //!   ablation benchmarks compare against (per-insert region locks, the
 //!   point-GQF strategy);

@@ -2,11 +2,12 @@
 //!
 //! This is the paper's §5.3 scheme lifted out of the quotient filter: the
 //! table is split into 8192-slot regions; a bulk batch is sorted by home
-//! slot and partitioned into per-region buffers by successor search; even
-//! regions are inserted first, then odd regions. A probe sequence that
-//! overflows its region only ever reaches the *next* region, which is
-//! guaranteed idle during the current phase, so no locks or atomics are
-//! needed on the bulk path. The same structure also offers a concurrent
+//! slot, then [`Device::launch_even_odd`] (the apply phase the bulk GQF
+//! also runs) partitions it into per-region buffers by successor search
+//! and updates the even regions first, then the odd ones. A probe
+//! sequence that overflows its region only ever reaches the *next*
+//! region, which is guaranteed idle during the current phase, so no locks
+//! or atomics are needed on the bulk path. The same structure also offers a concurrent
 //! point API (CAS claim, then value publish) and a locking bulk baseline
 //! for the ablation benchmarks.
 //!
@@ -15,9 +16,8 @@
 
 use filter_core::{hash64, FilterError};
 use gpu_sim::locks::RegionLocks;
-use gpu_sim::sort::{lower_bound, radix_sort_pairs};
 use gpu_sim::{Device, GpuBuffer};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Slots per exclusive-access region — the paper's 8192, which keeps
 /// phased writers ≈16K slots apart (§5.3).
@@ -330,23 +330,18 @@ impl EoHashTable {
         None
     }
 
-    /// Sort `(home, index)` and find each region's sub-range, exactly the
-    /// GQF's zero-allocation buffer trick (§5.3).
-    fn region_plan(&self, pairs: &[(u64, u64)]) -> (Vec<(u64, u64)>, Vec<usize>) {
+    /// Sort phase of the bulk paths: `(home slot, batch index)` pairs in
+    /// home order, sorted within the device's worker budget, so each
+    /// region's items form one range of the batch — the GQF's
+    /// zero-allocation buffer trick (§5.3).
+    fn region_plan(&self, pairs: &[(u64, u64)]) -> Vec<(u64, u64)> {
         let mut order: Vec<(u64, u64)> = pairs
             .iter()
             .enumerate()
             .map(|(i, &(k, _))| (self.home_slot(k) as u64, i as u64))
             .collect();
-        radix_sort_pairs(&mut order);
-        let homes: Vec<u64> = order.iter().map(|&(h, _)| h).collect();
-        let n_regions = self.n_regions();
-        let mut bounds = Vec::with_capacity(n_regions + 1);
-        for g in 0..n_regions {
-            bounds.push(lower_bound(&homes, (g * REGION_SLOTS) as u64));
-        }
-        bounds.push(homes.len());
-        (order, bounds)
+        self.device.sort_pairs(&mut order);
+        order
     }
 
     /// Exclusive-region upsert: plain (non-atomic) probe/claim, legal only
@@ -389,31 +384,23 @@ impl EoHashTable {
                 return pairs.len(); // reject the whole malformed batch
             }
         }
-        let (order, bounds) = self.region_plan(pairs);
-        let failures = AtomicUsize::new(0);
-        for parity in 0..2usize {
-            let regions: Vec<usize> = (0..self.n_regions())
-                .filter(|&g| g % 2 == parity && bounds[g] < bounds[g + 1])
-                .collect();
-            if regions.is_empty() {
-                continue;
-            }
-            let (regions_ref, order_ref, failures_ref) = (&regions, &order, &failures);
-            self.device.launch_regions(regions.len(), |t| {
-                let g = regions_ref[t];
+        let order = self.region_plan(pairs);
+        self.device.launch_even_odd(
+            &order,
+            self.n_regions(),
+            REGION_SLOTS as u64,
+            |&(home, _)| home,
+            |items| {
                 let mut fails = 0usize;
-                for &(_, idx) in &order_ref[bounds[g]..bounds[g + 1]] {
+                for &(_, idx) in items {
                     let (k, v) = pairs[idx as usize];
                     if self.upsert_exclusive(k, v).is_err() {
                         fails += 1;
                     }
                 }
-                if fails > 0 {
-                    failures_ref.fetch_add(fails, Ordering::Relaxed);
-                }
-            });
-        }
-        failures.load(Ordering::Relaxed)
+                fails
+            },
+        )
     }
 
     /// Exclusive-region fetch-add (plain ops, same ownership contract as
@@ -450,46 +437,41 @@ impl EoHashTable {
     /// Even-odd phased bulk fetch-add: each pair's delta is folded into
     /// its key's value (inserting absent keys), and `out[i]` receives the
     /// post-add total for `pairs[i]` — `u64::MAX` marks a failed placement.
+    /// A batch holding a reserved key is rejected whole: nothing is added,
+    /// every `out` slot reads `u64::MAX`, and the result is `pairs.len()`.
     /// Duplicate keys in one batch accumulate in batch order per region.
     pub fn bulk_fetch_add(&self, pairs: &[(u64, u64)], out: &mut [u64]) -> usize {
         assert_eq!(pairs.len(), out.len());
         for &(k, _) in pairs {
             if Self::check_key(k).is_err() {
+                out.fill(VALUE_UNSET);
                 return pairs.len();
             }
         }
-        let (order, bounds) = self.region_plan(pairs);
-        let results: Vec<std::sync::atomic::AtomicU64> =
-            (0..pairs.len()).map(|_| std::sync::atomic::AtomicU64::new(VALUE_UNSET)).collect();
-        let failures = AtomicUsize::new(0);
-        for parity in 0..2usize {
-            let regions: Vec<usize> = (0..self.n_regions())
-                .filter(|&g| g % 2 == parity && bounds[g] < bounds[g + 1])
-                .collect();
-            if regions.is_empty() {
-                continue;
-            }
-            let (regions_ref, order_ref) = (&regions, &order);
-            let (results_ref, failures_ref) = (&results, &failures);
-            self.device.launch_regions(regions.len(), |t| {
-                let g = regions_ref[t];
+        let order = self.region_plan(pairs);
+        let results: Vec<AtomicU64> =
+            (0..pairs.len()).map(|_| AtomicU64::new(VALUE_UNSET)).collect();
+        let failures = self.device.launch_even_odd(
+            &order,
+            self.n_regions(),
+            REGION_SLOTS as u64,
+            |&(home, _)| home,
+            |items| {
                 let mut fails = 0usize;
-                for &(_, idx) in &order_ref[bounds[g]..bounds[g + 1]] {
+                for &(_, idx) in items {
                     let (k, d) = pairs[idx as usize];
                     match self.fetch_add_exclusive(k, d) {
-                        Ok(total) => results_ref[idx as usize].store(total, Ordering::Relaxed),
+                        Ok(total) => results[idx as usize].store(total, Ordering::Relaxed),
                         Err(_) => fails += 1,
                     }
                 }
-                if fails > 0 {
-                    failures_ref.fetch_add(fails, Ordering::Relaxed);
-                }
-            });
-        }
+                fails
+            },
+        );
         for (o, r) in out.iter_mut().zip(results) {
             *o = r.into_inner();
         }
-        failures.load(Ordering::Relaxed)
+        failures
     }
 
     /// Locking bulk baseline: every thread point-inserts its chunk under
@@ -540,8 +522,8 @@ impl EoHashTable {
     /// Batched exact lookup; `out[i]` answers `keys[i]`.
     pub fn bulk_get(&self, keys: &[u64], out: &mut [Option<u64>]) {
         assert_eq!(keys.len(), out.len());
-        let results: Vec<std::sync::atomic::AtomicU64> =
-            (0..keys.len()).map(|_| std::sync::atomic::AtomicU64::new(VALUE_UNSET)).collect();
+        let results: Vec<AtomicU64> =
+            (0..keys.len()).map(|_| AtomicU64::new(VALUE_UNSET)).collect();
         let results_ref = &results;
         self.device.launch_point(keys.len(), 1, |i| {
             if let Some(v) = self.get(keys[i]) {

@@ -91,8 +91,10 @@ fn reserved_keys_never_enter_via_any_path() {
     assert!(t.upsert(0, 1).is_err());
     assert!(t.fetch_add(u64::MAX, 1).is_err());
     assert_eq!(t.bulk_upsert(&[(5, 5), (0, 1)]), 2, "whole batch rejected");
-    let mut out = vec![0u64; 2];
+    // A reused buffer must not keep old totals that look valid.
+    let mut out = vec![7u64; 2];
     assert_eq!(t.bulk_fetch_add(&[(5, 5), (u64::MAX, 1)], &mut out), 2);
+    assert_eq!(out, [u64::MAX; 2], "a rejected batch marks every slot failed");
     assert_eq!(t.len(), 0, "nothing may slip in beside a reserved key");
     assert!(t.entries().is_empty());
 }

@@ -7,7 +7,11 @@
 //!   every worker's groups race through the shared [`crate::memory`]
 //!   buffers with real atomics.
 //! * [`Device::launch_regions`] — one thread per *region* (the bulk APIs:
-//!   GQF even-odd phases, bulk-TCF block kernels).
+//!   bulk-TCF block kernels). Two wrappers hand each region thread a slice
+//!   of a sorted batch: [`Device::launch_segments`] one per segment, and
+//!   [`Device::launch_even_odd`] one per fixed-width key region in two
+//!   launches, even regions then odd — §5.3's lock-free update for any
+//!   linear-probing structure (the bulk GQF, SQF and EO hash table).
 //!
 //! A launch returns [`KernelStats`]: wall-clock time plus the metric delta
 //! for the launch window, which [`crate::cost`] converts to modeled GPU
@@ -18,6 +22,7 @@
 use crate::metrics::{self, bump, Counter, Counters};
 use crate::profile::DeviceProfile;
 use rayon::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// A simulated GPU: a hardware profile plus the host thread pool that
@@ -165,6 +170,51 @@ impl Device {
     {
         let n_segments = bounds.len().saturating_sub(1);
         self.launch_regions(n_segments, |seg| kernel(seg, bounds[seg]..bounds[seg + 1]))
+    }
+
+    /// Apply phase of §5.3's lock-free bulk update, for any
+    /// linear-probing structure. `sorted` is ascending by `key`; region
+    /// `g`'s slice holds the items whose key lies in
+    /// `[g * span, (g + 1) * span)`, found by successor search (a
+    /// data-parallel `partition_point` per region), and the last region
+    /// also takes every larger key. `kernel(slice)` runs once per
+    /// non-empty region: the even regions in one launch, then the odd
+    /// ones, an empty parity launching nothing. A kernel whose probe runs
+    /// past its region's end only reaches the next region, which is idle
+    /// during that launch, so no locks are needed. Returns the sum of the
+    /// kernels' results (the callers' per-item failure counts).
+    pub fn launch_even_odd<T, K, F>(
+        &self,
+        sorted: &[T],
+        n_regions: usize,
+        span: u64,
+        key: K,
+        kernel: F,
+    ) -> usize
+    where
+        T: Sync,
+        K: Fn(&T) -> u64 + Sync,
+        F: Fn(&[T]) -> usize + Sync,
+    {
+        let mut bounds =
+            self.par_map(n_regions, |g| sorted.partition_point(|t| key(t) < g as u64 * span));
+        bounds.push(sorted.len());
+        let total = AtomicUsize::new(0);
+        for parity in 0..2 {
+            let regions: Vec<usize> =
+                (parity..n_regions).step_by(2).filter(|&g| bounds[g] < bounds[g + 1]).collect();
+            if regions.is_empty() {
+                continue;
+            }
+            self.launch_regions(regions.len(), |i| {
+                let g = regions[i];
+                let n = kernel(&sorted[bounds[g]..bounds[g + 1]]);
+                if n > 0 {
+                    total.fetch_add(n, Ordering::Relaxed);
+                }
+            });
+        }
+        total.into_inner()
     }
 
     /// Partition phase of the bulk-synchronous pattern: compute `f(i)` for
@@ -361,6 +411,88 @@ mod tests {
         });
         assert!(visited.iter().all(|v| v.load(Ordering::Relaxed) == 1));
         assert_eq!(stats.items, 37);
+    }
+
+    #[test]
+    fn even_odd_slices_partition_the_batch_by_region() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
+        let mut keys: Vec<u64> = (0..50_000).map(|_| rng.gen()).collect();
+        keys.sort_unstable();
+        // (key, position) items, so every kernel call can mark what it saw.
+        let items: Vec<(u64, u64)> = keys.iter().enumerate().map(|(i, &k)| (k, i as u64)).collect();
+        // 16 regions of span 2^60 − 1: region 15 also takes the keys above
+        // 16 × span, so the slices must still cover the whole batch.
+        let (n_regions, span) = (16usize, u64::MAX / 16);
+        let region = |k: u64| (k / span).min(n_regions as u64 - 1);
+        let mut per_region = vec![0usize; n_regions];
+        for &k in &keys {
+            per_region[region(k) as usize] += 1;
+        }
+        let want: usize = per_region.iter().map(|n| n % 7).sum();
+        let visited: Vec<AtomicU64> = (0..items.len()).map(|_| AtomicU64::new(0)).collect();
+        let calls = AtomicU64::new(0);
+        let dev = Device::cori().with_workers(2);
+        let got = dev.launch_even_odd(
+            &items,
+            n_regions,
+            span,
+            |&(k, _)| k,
+            |slice| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                let g = region(slice[0].0);
+                for &(k, i) in slice {
+                    assert_eq!(region(k), g, "one call saw keys of two regions");
+                    visited[i as usize].fetch_add(1, Ordering::Relaxed);
+                }
+                slice.len() % 7
+            },
+        );
+        assert!(visited.iter().all(|v| v.load(Ordering::Relaxed) == 1), "not a partition");
+        assert_eq!(calls.into_inner(), per_region.iter().filter(|&&n| n > 0).count() as u64);
+        assert_eq!(got, want, "the result is the sum of the kernels' results");
+    }
+
+    #[test]
+    fn even_odd_launches_once_per_occupied_parity() {
+        let dev = Device::cori();
+        let launches = |keys: &[u64]| {
+            let before = metrics::snapshot_current_thread();
+            let placed = dev.launch_even_odd(keys, 4, 10, |&k| k, |slice| slice.len());
+            assert_eq!(placed, keys.len());
+            metrics::snapshot_current_thread().since(&before).get(Counter::KernelLaunches)
+        };
+        assert_eq!(launches(&[]), 0, "an empty batch launches nothing");
+        assert_eq!(launches(&[1, 5, 20, 29]), 1, "regions 0 and 2: the even launch only");
+        assert_eq!(launches(&[12, 35]), 1, "regions 1 and 3: the odd launch only");
+        assert_eq!(launches(&[3, 12, 25]), 2, "both parities occupied");
+    }
+
+    /// The even-odd contract under the sanitizer: each kernel writes its
+    /// own region and the first slots of the next, which is idle during
+    /// that launch, so neither launch may report a race.
+    #[test]
+    #[cfg(feature = "race-check")]
+    fn even_odd_kernels_may_spill_into_the_next_region() {
+        let dev = Device::cori().with_workers(2);
+        let (n_regions, span) = (6usize, 16usize);
+        let buf = crate::GpuBuffer::new((n_regions + 1) * span, 16);
+        let keys: Vec<u64> = (0..(n_regions * span) as u64).collect();
+        let before = crate::shadow::launches_verified();
+        dev.launch_even_odd(
+            &keys,
+            n_regions,
+            span as u64,
+            |&k| k,
+            |slice| {
+                let base = slice[0] as usize;
+                for s in base..base + span + 4 {
+                    buf.write(s, 1);
+                }
+                0
+            },
+        );
+        assert!(crate::shadow::launches_verified() >= before + 2, "both launches verified");
     }
 
     /// The sanitizer's live-fire proof: a region launch whose kernels

@@ -12,7 +12,7 @@
 //! paper's algorithms unchanged against a simulated device. Correctness
 //! and concurrency are real (Rayon workers racing through `AtomicU64`
 //! words); device performance is modeled from the transaction counts the
-//! kernels actually generate (see `DESIGN.md` §2 and §5).
+//! kernels actually generate.
 //!
 //! ```
 //! use gpu_sim::{Device, GpuBuffer};

@@ -3,9 +3,9 @@
 //! The paper's bulk APIs lean on Thrust for three things: in-place sorts of
 //! the input batch (§5.3 "Sorting hashes"), `reduce_by_key` for the
 //! map-reduce counting strategy (§5.4), and successor search to locate
-//! region-buffer boundaries in the sorted batch. This module provides all
-//! three, parallelized with Rayon: an LSD radix sort (the algorithm GPU
-//! sorts actually use), a parallel reduce-by-key, and `lower_bound`.
+//! region-buffer boundaries in the sorted batch. This module provides the
+//! first two with Rayon (an LSD radix sort, the algorithm GPU sorts use, and
+//! a reduce-by-key); [`crate::Device::launch_even_odd`] does the search.
 
 use crate::metrics::{bump, Counter};
 use rayon::prelude::*;
@@ -225,17 +225,6 @@ pub fn reduce_by_key_bounded(sorted: &[u64], workers: usize) -> Vec<(u64, u64)> 
         .collect()
 }
 
-/// First index in sorted `data` whose value is `>= x` (successor search;
-/// locates region-buffer boundaries in the sorted batch, §5.3).
-pub fn lower_bound(data: &[u64], x: u64) -> usize {
-    data.partition_point(|&v| v < x)
-}
-
-/// First index in sorted `data` whose value is `> x`.
-pub fn upper_bound(data: &[u64], x: u64) -> usize {
-    data.partition_point(|&v| v <= x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,32 +371,5 @@ mod tests {
             }
         }
         assert_eq!(segment_bounds_pairs(&[]), vec![0]);
-    }
-
-    #[test]
-    fn bounds_basic() {
-        let data = [1u64, 3, 3, 3, 9];
-        assert_eq!(lower_bound(&data, 0), 0);
-        assert_eq!(lower_bound(&data, 3), 1);
-        assert_eq!(upper_bound(&data, 3), 4);
-        assert_eq!(lower_bound(&data, 10), 5);
-        assert_eq!(lower_bound(&data, 9), 4);
-    }
-
-    #[test]
-    fn bounds_partition_sorted_stream() {
-        let mut data = random_vec(50_000, 6);
-        radix_sort_u64(&mut data);
-        // Split into 16 ranges by value; the ranges must partition the data.
-        let mut total = 0;
-        let step = u64::MAX / 16;
-        for i in 0..16u64 {
-            let lo = lower_bound(&data, i.wrapping_mul(step));
-            let hi =
-                if i == 15 { data.len() } else { lower_bound(&data, (i + 1).wrapping_mul(step)) };
-            assert!(hi >= lo);
-            total += hi - lo;
-        }
-        assert_eq!(total, data.len());
     }
 }

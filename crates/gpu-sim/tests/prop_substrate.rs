@@ -1,7 +1,7 @@
 //! Property tests for the GPU substrate: packed-buffer semantics, CAS
 //! atomicity, and the Thrust-substitute primitives.
 
-use gpu_sim::sort::{lower_bound, radix_sort_pairs, radix_sort_u64, reduce_by_key, upper_bound};
+use gpu_sim::sort::{radix_sort_pairs, radix_sort_u64, reduce_by_key};
 use gpu_sim::GpuBuffer;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -84,16 +84,6 @@ proptest! {
         sorted.sort_unstable();
         let total: u64 = reduce_by_key(&sorted).iter().map(|&(_, c)| c).sum();
         prop_assert_eq!(total as usize, data.len());
-    }
-
-    #[test]
-    fn bounds_bracket_every_value(mut data in vec(any::<u64>(), 1..500), x in any::<u64>()) {
-        data.sort_unstable();
-        let lo = lower_bound(&data, x);
-        let hi = upper_bound(&data, x);
-        prop_assert!(lo <= hi);
-        let count = data.iter().filter(|&&v| v == x).count();
-        prop_assert_eq!(hi - lo, count);
     }
 
     /// Coalesced span writes equal slot-by-slot writes.

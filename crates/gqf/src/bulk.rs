@@ -1,50 +1,73 @@
 //! The bulk GQF: coordinated lock-free batch operations (§5.3–5.4).
 //!
-//! A batch is hashed, sorted (the Thrust in-place sort of §5.3), and
-//! partitioned into 8192-slot regions by successor search — the region
-//! "buffers" are just index ranges into the sorted batch, exactly the
-//! zero-allocation pointer trick the paper describes. Insertion then runs
-//! in **two phases**: threads own the even regions first, then the odd
-//! ones. A thread shifting past its region's end only ever reaches the
-//! (idle) next region, so no locks are needed — the even-odd scheme the
-//! paper proposes for any linear-probing structure.
+//! Every batch operation runs the substrate's bulk-synchronous phases:
+//!
+//! 1. **hash** — keys map onto stored hashes in parallel
+//!    ([`Device::par_map`]);
+//! 2. **sort** — the Thrust in-place sort of §5.3 ([`Device::sort_u64`],
+//!    or [`Device::sort_pairs`] when a count, value or batch index rides
+//!    along), plus the map-reduce path's **reduce**
+//!    ([`Device::reduce_by_key`]);
+//! 3. **apply** — [`Device::launch_even_odd`]: successor search cuts the
+//!    sorted batch into 8192-slot region buffers (index ranges into the
+//!    batch, exactly the zero-allocation pointer trick the paper
+//!    describes), then threads own the even regions, then the odd ones. A
+//!    thread shifting past its region's end only ever reaches the (idle)
+//!    next region, so no locks are needed — the even-odd scheme the paper
+//!    proposes for any linear-probing structure.
 //!
 //! For skewed count distributions, [`BulkGqf::insert_batch_mapreduce`]
-//! first reduces the sorted batch to `(item, count)` pairs (Thrust
+//! reduces the sorted batch to `(item, count)` pairs (Thrust
 //! `reduce_by_key`), turning millions of contended single inserts into
-//! one counted insert per distinct item (§5.4).
-
-//! Every batch runs the substrate's bulk-synchronous phase pattern: a
-//! data-parallel **hash** phase ([`Device::par_map`]), a device-bounded
-//! **sort** ([`Device::sort_u64`] / [`Device::sort_pairs`]), the map-reduce
-//! path's **reduce** ([`Device::reduce_by_key`]), a parallel
-//! **partition** phase (successor search per region, again `par_map`),
-//! and the even-odd **apply** phases over region ranges
-//! ([`Device::launch_regions`]) — all bounded by the spec's
-//! [`Parallelism`](filter_core::Parallelism) worker budget and all
+//! one counted insert per distinct item (§5.4). It shares one counted
+//! apply with [`BulkGqf::insert_counted_batch`] and the grow/merge refill.
+//!
+//! Every phase is bounded by the spec's
+//! [`Parallelism`](filter_core::Parallelism) worker budget and is
 //! scheduling-independent, so any budget produces identical filters.
 
 use crate::core::GqfCore;
-use crate::layout::{Layout, REGION_SLOTS};
+use crate::layout::Layout;
 use filter_core::{
     ApiMode, BulkDeletable, BulkFilter, DeleteOutcome, Features, FilterError, FilterMeta,
     FilterSpec, InsertOutcome, Operation,
 };
-use gpu_sim::sort::lower_bound;
 use gpu_sim::Device;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
+
+/// Counted apply: insert key-sorted `(hash, count)` pairs into `core`
+/// through the even-odd phases, each hash split under `core`'s layout.
+/// Returns the count that could not be placed.
+fn insert_counted_sorted(core: &GqfCore, device: &Device, sorted: &[(u64, u64)]) -> usize {
+    let l = *core.layout();
+    device.launch_even_odd(
+        sorted,
+        l.n_regions(),
+        l.region_span(),
+        |&(h, _)| h,
+        |items| {
+            let mut fails = 0usize;
+            for &(h, c) in items {
+                let (q, r) = l.split(h);
+                if core.upsert(q, r, c).is_err() {
+                    fails += c as usize;
+                }
+            }
+            fails
+        },
+    )
+}
 
 /// Refill `target` from `src`'s enumerated `(hash, count)` multiset,
-/// re-splitting each lossless stored hash under `target`'s layout and
-/// inserting through the even-odd phased bulk path (sorted order within
-/// each region, so any worker budget produces the same table). Both
+/// re-splitting each lossless stored hash under `target`'s layout. Both
 /// layouts must store the same `p = q + r` bits so the re-split loses
-/// nothing — the quotient-bit-extension migration primitive shared by
-/// the GQF's own resize/merge and the SQF/RSQF capacity lifecycle in
-/// `baselines`. Returns the count that could not be placed.
-pub fn refill_core(target: &GqfCore, device: &Device, src: &GqfCore) -> Result<usize, FilterError> {
+/// nothing — the quotient-bit-extension migration behind
+/// [`grow`](filter_core::MaintainableFilter::grow) and
+/// [`merge`](filter_core::MaintainableFilter::merge). Returns the count
+/// that could not be placed.
+fn refill_core(target: &GqfCore, device: &Device, src: &GqfCore) -> Result<usize, FilterError> {
     let from = src.layout();
-    let to = *target.layout();
+    let to = target.layout();
     if from.q_bits + from.r_bits != to.q_bits + to.r_bits {
         return Err(FilterError::BadConfig(format!(
             "hash widths differ: p={} vs p={} — filters must share a stored-hash width",
@@ -54,32 +77,7 @@ pub fn refill_core(target: &GqfCore, device: &Device, src: &GqfCore) -> Result<u
     }
     let mut pairs: Vec<(u64, u64)> = src.enumerate();
     device.sort_pairs(&mut pairs);
-    let mut bounds: Vec<usize> = device.par_map(to.n_regions(), |g| {
-        pairs.partition_point(|&(h, _)| h < ((g * REGION_SLOTS) as u64) << to.r_bits)
-    });
-    bounds.push(pairs.len());
-    let failures = AtomicUsize::new(0);
-    let pairs_ref = &pairs;
-    let failures_ref = &failures;
-    for parity in 0..2usize {
-        let regions: Vec<usize> =
-            (0..to.n_regions()).filter(|&g| g % 2 == parity && bounds[g] < bounds[g + 1]).collect();
-        if regions.is_empty() {
-            continue;
-        }
-        let regions_ref = &regions;
-        let bounds_ref = &bounds;
-        device.launch_regions(regions.len(), |i| {
-            let g = regions_ref[i];
-            for &(h, c) in &pairs_ref[bounds_ref[g]..bounds_ref[g + 1]] {
-                let (q, r) = to.split(h);
-                if target.upsert(q, r, c).is_err() {
-                    failures_ref.fetch_add(c as usize, Ordering::Relaxed);
-                }
-            }
-        });
-    }
-    Ok(failures.load(Ordering::Relaxed))
+    Ok(insert_counted_sorted(target, device, &pairs))
 }
 
 /// A bulk-API GPU counting quotient filter.
@@ -130,6 +128,11 @@ impl BulkGqf {
         &self.core
     }
 
+    /// The simulated device the batch phases run on.
+    pub fn device(&self) -> &Device {
+        &self.device
+    }
+
     /// Current load factor.
     pub fn load_factor(&self) -> f64 {
         self.core.load_factor()
@@ -143,66 +146,23 @@ impl BulkGqf {
         l.join(q, r)
     }
 
-    /// Partition a sorted hash batch into per-region index ranges via
-    /// successor search — one independent search per region, run as the
-    /// data-parallel partition phase. `bounds[g]..bounds[g+1]` is region
-    /// `g`'s buffer.
-    fn region_bounds(&self, sorted_hashes: &[u64]) -> Vec<usize> {
-        let l = *self.core.layout();
-        let n_regions = l.n_regions();
-        let mut bounds = self.device.par_map(n_regions, |g| {
-            lower_bound(sorted_hashes, ((g * REGION_SLOTS) as u64) << l.r_bits)
+    /// Hash and sort phases for a plain batch: the sorted stored hashes.
+    fn sorted_hashes(&self, keys: &[u64]) -> Vec<u64> {
+        let mut hashes = self.device.par_map(keys.len(), |i| self.stored_hash(keys[i]));
+        self.device.sort_u64(&mut hashes);
+        hashes
+    }
+
+    /// Hash and sort phases for a pair batch: `item(i)` gives the key and
+    /// payload of item `i`, and the result holds `(stored hash, payload)`
+    /// pairs sorted stably by hash.
+    fn sorted_pairs(&self, n: usize, item: impl Fn(usize) -> (u64, u64) + Sync) -> Vec<(u64, u64)> {
+        let mut pairs = self.device.par_map(n, |i| {
+            let (key, payload) = item(i);
+            (self.stored_hash(key), payload)
         });
-        bounds.push(sorted_hashes.len());
-        bounds
-    }
-
-    /// Partition a sorted `(hash, payload)` batch into per-region index
-    /// ranges — the pair-carrying twin of [`Self::region_bounds`], so
-    /// pair-shaped batches need no materialized copy of the sorted
-    /// hashes.
-    fn region_bounds_pairs(&self, sorted: &[(u64, u64)]) -> Vec<usize> {
-        let l = *self.core.layout();
-        let n_regions = l.n_regions();
-        let mut bounds = self.device.par_map(n_regions, |g| {
-            let first_hash = ((g * REGION_SLOTS) as u64) << l.r_bits;
-            sorted.partition_point(|&(h, _)| h < first_hash)
-        });
-        bounds.push(sorted.len());
-        bounds
-    }
-
-    /// Hash phase: map keys onto stored hashes in parallel (order kept).
-    fn hash_batch(&self, keys: &[u64]) -> Vec<u64> {
-        self.device.par_map(keys.len(), |i| self.stored_hash(keys[i]))
-    }
-
-    /// Run `per_region` over every non-empty region in two phases (even
-    /// regions, then odd). Returns the number of failed items.
-    fn phased(
-        &self,
-        bounds: &[usize],
-        per_region: impl Fn(usize, std::ops::Range<usize>) -> usize + Sync,
-    ) -> usize {
-        let n_regions = bounds.len() - 1;
-        let failures = AtomicUsize::new(0);
-        for parity in 0..2usize {
-            let regions: Vec<usize> =
-                (0..n_regions).filter(|&g| g % 2 == parity && bounds[g] < bounds[g + 1]).collect();
-            if regions.is_empty() {
-                continue;
-            }
-            let regions_ref = &regions;
-            let failures_ref = &failures;
-            self.device.launch_regions(regions.len(), |i| {
-                let g = regions_ref[i];
-                let fails = per_region(g, bounds[g]..bounds[g + 1]);
-                if fails > 0 {
-                    failures_ref.fetch_add(fails, Ordering::Relaxed);
-                }
-            });
-        }
-        failures.load(Ordering::Relaxed)
+        self.device.sort_pairs(&mut pairs);
+        pairs
     }
 
     /// Effective parallelism of a phased batch under skew (§5.4): each
@@ -212,41 +172,37 @@ impl BulkGqf {
     /// holds most of the batch); the map-reduce pre-pass restores it by
     /// shrinking the hot buffer to one counted entry.
     pub fn effective_parallelism(&self, keys: &[u64]) -> u64 {
-        if keys.is_empty() {
-            return 1;
+        let l = self.core.layout();
+        let mut per_region = vec![0usize; l.n_regions()];
+        for &k in keys {
+            per_region[l.region_of(l.split(filter_core::hash64(k)).0)] += 1;
         }
-        let mut hashes: Vec<u64> = keys.iter().map(|&k| self.stored_hash(k)).collect();
-        hashes.sort_unstable();
-        let bounds = self.region_bounds(&hashes);
-        let mut max_items = 1usize;
-        let mut nonempty = 0usize;
-        for g in 0..bounds.len() - 1 {
-            let n = bounds[g + 1] - bounds[g];
-            if n > 0 {
-                nonempty += 1;
-                max_items = max_items.max(n);
-            }
-        }
+        let max_items = per_region.iter().copied().max().unwrap_or(0).max(1);
+        let nonempty = per_region.iter().filter(|&&n| n > 0).count();
         ((keys.len() / max_items).max(1)).min(nonempty.max(1)) as u64
     }
 
     /// Insert a batch of keys. Returns the number of items that could not
     /// be placed (0 on success).
     pub fn insert_batch(&self, keys: &[u64]) -> usize {
-        let mut hashes = self.hash_batch(keys);
-        self.device.sort_u64(&mut hashes);
-        let bounds = self.region_bounds(&hashes);
+        let hashes = self.sorted_hashes(keys);
         let l = *self.core.layout();
-        self.phased(&bounds, |_, range| {
-            let mut fails = 0usize;
-            for &h in &hashes[range] {
-                let (q, r) = l.split(h);
-                if self.core.upsert(q, r, 1).is_err() {
-                    fails += 1;
+        self.device.launch_even_odd(
+            &hashes,
+            l.n_regions(),
+            l.region_span(),
+            |&h| h,
+            |items| {
+                let mut fails = 0usize;
+                for &h in items {
+                    let (q, r) = l.split(h);
+                    if self.core.upsert(q, r, 1).is_err() {
+                        fails += 1;
+                    }
                 }
-            }
-            fails
-        })
+                fails
+            },
+        )
     }
 
     /// Insert a batch with per-key outcomes: `out[i]` answers `keys[i]`.
@@ -254,30 +210,26 @@ impl BulkGqf {
     /// indices riding through the sort so failures are attributable.
     pub fn insert_batch_report(&self, keys: &[u64], out: &mut [InsertOutcome]) {
         assert_eq!(keys.len(), out.len());
-        out.fill(InsertOutcome::Inserted);
-        let mut hashed: Vec<(u64, u64)> =
-            self.device.par_map(keys.len(), |i| (self.stored_hash(keys[i]), i as u64));
-        self.device.sort_pairs(&mut hashed);
-        let bounds = self.region_bounds_pairs(&hashed);
+        let hashed = self.sorted_pairs(keys.len(), |i| (keys[i], i as u64));
         let l = *self.core.layout();
         let failed: Vec<AtomicBool> = (0..keys.len()).map(|_| AtomicBool::new(false)).collect();
-        let hashed_ref = &hashed;
-        let failed_ref = &failed;
-        self.phased(&bounds, |_, range| {
-            let mut fails = 0usize;
-            for &(h, idx) in &hashed_ref[range] {
-                let (q, r) = l.split(h);
-                if self.core.upsert(q, r, 1).is_err() {
-                    fails += 1;
-                    failed_ref[idx as usize].store(true, Ordering::Relaxed);
+        self.device.launch_even_odd(
+            &hashed,
+            l.n_regions(),
+            l.region_span(),
+            |&(h, _)| h,
+            |items| {
+                for &(h, idx) in items {
+                    let (q, r) = l.split(h);
+                    if self.core.upsert(q, r, 1).is_err() {
+                        failed[idx as usize].store(true, Ordering::Relaxed);
+                    }
                 }
-            }
-            fails
-        });
-        for (o, f) in out.iter_mut().zip(&failed) {
-            if f.load(Ordering::Relaxed) {
-                *o = InsertOutcome::Failed;
-            }
+                0
+            },
+        );
+        for (o, f) in out.iter_mut().zip(failed) {
+            *o = if f.into_inner() { InsertOutcome::Failed } else { InsertOutcome::Inserted };
         }
     }
 
@@ -285,43 +237,14 @@ impl BulkGqf {
     /// reduce duplicates to `(hash, count)`, then one counted insert per
     /// distinct item.
     pub fn insert_batch_mapreduce(&self, keys: &[u64]) -> usize {
-        let mut hashes = self.hash_batch(keys);
-        self.device.sort_u64(&mut hashes);
-        let reduced = self.device.reduce_by_key(&hashes);
-        let sorted: Vec<u64> = reduced.iter().map(|&(h, _)| h).collect();
-        let bounds = self.region_bounds(&sorted);
-        let l = *self.core.layout();
-        self.phased(&bounds, |_, range| {
-            let mut fails = 0usize;
-            for &(h, c) in &reduced[range] {
-                let (q, r) = l.split(h);
-                if self.core.upsert(q, r, c).is_err() {
-                    fails += c as usize;
-                }
-            }
-            fails
-        })
+        let reduced = self.device.reduce_by_key(&self.sorted_hashes(keys));
+        insert_counted_sorted(&self.core, &self.device, &reduced)
     }
 
     /// Insert pre-counted `(key, count)` pairs.
     pub fn insert_counted_batch(&self, pairs: &[(u64, u64)]) -> usize {
-        let mut hashed: Vec<(u64, u64)> = self.device.par_map(pairs.len(), |i| {
-            let (k, c) = pairs[i];
-            (self.stored_hash(k), c)
-        });
-        self.device.sort_pairs(&mut hashed);
-        let bounds = self.region_bounds_pairs(&hashed);
-        let l = *self.core.layout();
-        self.phased(&bounds, |_, range| {
-            let mut fails = 0usize;
-            for &(h, c) in &hashed[range] {
-                let (q, r) = l.split(h);
-                if self.core.upsert(q, r, c).is_err() {
-                    fails += c as usize;
-                }
-            }
-            fails
-        })
+        let hashed = self.sorted_pairs(pairs.len(), |i| pairs[i]);
+        insert_counted_sorted(&self.core, &self.device, &hashed)
     }
 
     /// Query a batch; `out[i]` answers `keys[i]`.
@@ -346,42 +269,6 @@ impl BulkGqf {
         out.into_iter().map(|a| a.into_inner()).collect()
     }
 
-    /// Refill this (fresh or partially filled) filter from another core's
-    /// enumerated multiset — [`refill_core`] over this filter's own core
-    /// and device.
-    fn refill_from(&self, src: &GqfCore) -> Result<usize, FilterError> {
-        refill_core(&self.core, &self.device, src)
-    }
-
-    /// Build a filter with twice the slots (q+1, r−1) containing the same
-    /// multiset, re-splitting the stored lossless hashes through the
-    /// phased bulk path — the resizability feature §1 lists.
-    pub fn resized(&self) -> Result<BulkGqf, FilterError> {
-        let old = self.core.layout();
-        let bigger = BulkGqf::new(old.q_bits + 1, old.r_bits - 1, self.device.clone())?;
-        if bigger.refill_from(&self.core)? > 0 {
-            return Err(FilterError::Full);
-        }
-        Ok(bigger)
-    }
-
-    /// Merge another bulk GQF with the same geometry into a filter one
-    /// size up (q+1, r−1), using the counted bulk path — the merge
-    /// operation database engines need (§1).
-    pub fn merged_with(&self, other: &BulkGqf) -> Result<BulkGqf, FilterError> {
-        if self.core.layout() != other.core.layout() {
-            return Err(FilterError::BadConfig("merge requires identical layouts".into()));
-        }
-        let old = self.core.layout();
-        let merged = BulkGqf::new(old.q_bits + 1, old.r_bits - 1, self.device.clone())?;
-        for src in [self, other] {
-            if merged.refill_from(&src.core)? > 0 {
-                return Err(FilterError::Full);
-            }
-        }
-        Ok(merged)
-    }
-
     /// Associate small values with keys in bulk. A value `v` rides in the
     /// variable-sized counters as count `v + 1` (the Mantis re-purposing
     /// the paper cites in §2), so this must not be mixed with counting
@@ -394,28 +281,29 @@ impl BulkGqf {
     /// deterministic). Returns the number of pairs that could not be
     /// placed.
     pub fn insert_values_batch(&self, pairs: &[(u64, u64)]) -> usize {
-        let mut hashed: Vec<(u64, u64)> = self.device.par_map(pairs.len(), |i| {
-            let (k, v) = pairs[i];
-            (self.stored_hash(k), v)
-        });
-        self.device.sort_pairs(&mut hashed);
-        let bounds = self.region_bounds_pairs(&hashed);
+        let hashed = self.sorted_pairs(pairs.len(), |i| pairs[i]);
         let l = *self.core.layout();
-        self.phased(&bounds, |_, range| {
-            let mut fails = 0usize;
-            for &(h, v) in &hashed[range] {
-                let (q, r) = l.split(h);
-                let existing = self.core.query(q, r);
-                if existing > 0 && self.core.delete(q, r, existing).is_err() {
-                    fails += 1;
-                    continue;
+        self.device.launch_even_odd(
+            &hashed,
+            l.n_regions(),
+            l.region_span(),
+            |&(h, _)| h,
+            |items| {
+                let mut fails = 0usize;
+                for &(h, v) in items {
+                    let (q, r) = l.split(h);
+                    let existing = self.core.query(q, r);
+                    if existing > 0 && self.core.delete(q, r, existing).is_err() {
+                        fails += 1;
+                        continue;
+                    }
+                    if self.core.upsert(q, r, v + 1).is_err() {
+                        fails += 1;
+                    }
                 }
-                if self.core.upsert(q, r, v + 1).is_err() {
-                    fails += 1;
-                }
-            }
-            fails
-        })
+                fails
+            },
+        )
     }
 
     /// Look up the values associated with a batch of keys; `None` when the
@@ -435,21 +323,24 @@ impl BulkGqf {
     /// larger items first" minimizes left-shifting, §6.4). Returns the
     /// count not found.
     pub fn delete_batch(&self, keys: &[u64]) -> usize {
-        let mut hashes = self.hash_batch(keys);
-        self.device.sort_u64(&mut hashes);
-        let bounds = self.region_bounds(&hashes);
+        let hashes = self.sorted_hashes(keys);
         let l = *self.core.layout();
-        self.phased(&bounds, |_, range| {
-            let mut missing = 0usize;
-            for &h in hashes[range].iter().rev() {
-                let (q, r) = l.split(h);
-                match self.core.delete(q, r, 1) {
-                    Ok(true) => {}
-                    _ => missing += 1,
+        self.device.launch_even_odd(
+            &hashes,
+            l.n_regions(),
+            l.region_span(),
+            |&h| h,
+            |items| {
+                let mut missing = 0usize;
+                for &h in items.iter().rev() {
+                    let (q, r) = l.split(h);
+                    if !matches!(self.core.delete(q, r, 1), Ok(true)) {
+                        missing += 1;
+                    }
                 }
-            }
-            missing
-        })
+                missing
+            },
+        )
     }
 
     /// Delete a batch with per-key outcomes: `out[i]` answers `keys[i]`.
@@ -457,31 +348,26 @@ impl BulkGqf {
     /// [`Self::delete_batch`], with batch indices riding through the sort.
     pub fn delete_batch_report(&self, keys: &[u64], out: &mut [DeleteOutcome]) {
         assert_eq!(keys.len(), out.len());
-        let mut hashed: Vec<(u64, u64)> =
-            self.device.par_map(keys.len(), |i| (self.stored_hash(keys[i]), i as u64));
-        self.device.sort_pairs(&mut hashed);
-        let bounds = self.region_bounds_pairs(&hashed);
+        let hashed = self.sorted_pairs(keys.len(), |i| (keys[i], i as u64));
         let l = *self.core.layout();
         let removed: Vec<AtomicBool> = (0..keys.len()).map(|_| AtomicBool::new(false)).collect();
-        let hashed_ref = &hashed;
-        let removed_ref = &removed;
-        self.phased(&bounds, |_, range| {
-            let mut missing = 0usize;
-            for &(h, idx) in hashed_ref[range].iter().rev() {
-                let (q, r) = l.split(h);
-                match self.core.delete(q, r, 1) {
-                    Ok(true) => removed_ref[idx as usize].store(true, Ordering::Relaxed),
-                    _ => missing += 1,
+        self.device.launch_even_odd(
+            &hashed,
+            l.n_regions(),
+            l.region_span(),
+            |&(h, _)| h,
+            |items| {
+                for &(h, idx) in items.iter().rev() {
+                    let (q, r) = l.split(h);
+                    if matches!(self.core.delete(q, r, 1), Ok(true)) {
+                        removed[idx as usize].store(true, Ordering::Relaxed);
+                    }
                 }
-            }
-            missing
-        });
-        for (o, r) in out.iter_mut().zip(&removed) {
-            *o = if r.load(Ordering::Relaxed) {
-                DeleteOutcome::Removed
-            } else {
-                DeleteOutcome::NotFound
-            };
+                0
+            },
+        );
+        for (o, r) in out.iter_mut().zip(removed) {
+            *o = if r.into_inner() { DeleteOutcome::Removed } else { DeleteOutcome::NotFound };
         }
     }
 }
@@ -506,11 +392,11 @@ impl filter_core::MaintainableFilter for BulkGqf {
                 old.r_bits
             )));
         }
-        let bigger = BulkGqf::new(old.q_bits + d, old.r_bits - d, self.device.clone())?;
-        if bigger.refill_from(&self.core)? > 0 {
+        let bigger = GqfCore::new(Layout::new(old.q_bits + d, old.r_bits - d)?);
+        if refill_core(&bigger, &self.device, &self.core)? > 0 {
             return Err(FilterError::Full);
         }
-        self.core = bigger.core;
+        self.core = bigger;
         Ok(())
     }
 
@@ -520,17 +406,16 @@ impl filter_core::MaintainableFilter for BulkGqf {
     /// core first, so a refusal ([`FilterError::NeedsGrowth`]) leaves
     /// `self` untouched.
     fn merge(&mut self, other: &Self) -> Result<(), FilterError> {
-        let layout = *self.core.layout();
-        let union = BulkGqf::new(layout.q_bits, layout.r_bits, self.device.clone())?;
+        let union = GqfCore::new(*self.core.layout());
         for src in [&self.core, &other.core] {
-            if union.refill_from(src)? > 0 {
+            if refill_core(&union, &self.device, src)? > 0 {
                 return Err(FilterError::needs_growth(self.core.load_factor()));
             }
         }
-        if union.core.load_factor() > self.max_load {
-            return Err(FilterError::needs_growth(union.core.load_factor()));
+        if union.load_factor() > self.max_load {
+            return Err(FilterError::needs_growth(union.load_factor()));
         }
-        self.core = union.core;
+        self.core = union;
         Ok(())
     }
 }
@@ -727,45 +612,6 @@ mod tests {
         assert_eq!(f.delete_batch(&[]), 0);
         let out = f.count_batch(&[]);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn merge_combines_two_filters_exactly() {
-        let a = filter(12);
-        let b = filter(12);
-        let keys = hashed_keys(59, 600);
-        a.insert_batch(&keys[..400]);
-        b.insert_batch(&keys[200..]);
-        let m = a.merged_with(&b).unwrap();
-        let counts = m.count_batch(&keys);
-        for (i, &c) in counts.iter().enumerate() {
-            let want = if (200..400).contains(&i) { 2 } else { 1 };
-            assert_eq!(c, want, "key {i}");
-        }
-        m.core().check_invariants();
-    }
-
-    #[test]
-    fn resize_preserves_multiset_through_bulk_path() {
-        let f = BulkGqf::new_cori(12, 16).unwrap();
-        let keys = hashed_keys(64, 900);
-        let pairs: Vec<(u64, u64)> =
-            keys.iter().enumerate().map(|(i, &k)| (k, (i % 4 + 1) as u64)).collect();
-        assert_eq!(f.insert_counted_batch(&pairs), 0);
-        let big = f.resized().unwrap();
-        assert_eq!(big.capacity_slots(), 2 * f.capacity_slots());
-        let counts = big.count_batch(&keys);
-        for (i, &c) in counts.iter().enumerate() {
-            assert_eq!(c, (i % 4 + 1) as u64, "key {i}");
-        }
-        big.core().check_invariants();
-    }
-
-    #[test]
-    fn merge_rejects_mismatched_layouts() {
-        let a = filter(12);
-        let b = BulkGqf::new_cori(13, 8).unwrap();
-        assert!(a.merged_with(&b).is_err());
     }
 
     #[test]

@@ -71,6 +71,16 @@ impl Layout {
         self.canonical_slots().div_ceil(REGION_SLOTS)
     }
 
+    /// Width of one region in stored-hash space: a hash in
+    /// `[g * span, (g + 1) * span)` has its quotient in region `g`, which
+    /// is what the bulk paths' even-odd phases partition sorted hashes by.
+    /// Saturates at `u64::MAX` when `REGION_SLOTS << r` does not fit in 64
+    /// bits, which happens only for tables of a single region.
+    #[inline]
+    pub fn region_span(&self) -> u64 {
+        u64::try_from((REGION_SLOTS as u128) << self.r_bits).unwrap_or(u64::MAX)
+    }
+
     /// Region of a canonical slot.
     #[inline]
     pub fn region_of(&self, slot: usize) -> usize {
@@ -128,6 +138,16 @@ mod tests {
         assert_eq!(l.region_of(0), 0);
         assert_eq!(l.region_of(REGION_SLOTS), 1);
         assert_eq!(l.region_of((1 << 20) - 1), l.n_regions() - 1);
+    }
+
+    #[test]
+    fn region_span_matches_region_of_the_quotient() {
+        let l = Layout::new(20, 8).unwrap();
+        for h in [0u64, 1, (1 << 28) - 1, 0x0abc_def1] {
+            let h = h & ((1 << 28) - 1);
+            assert_eq!((h / l.region_span()) as usize, l.region_of(l.split(h).0), "hash {h:#x}");
+        }
+        assert_eq!(Layout::new(6, 58).unwrap().region_span(), u64::MAX, "one region, saturated");
     }
 
     #[test]

@@ -7,10 +7,13 @@
 //!
 //! * [`PointGqf`] — device-side concurrent API guarded by cache-aligned
 //!   8192-slot region locks (§5.2);
-//! * [`BulkGqf`] — the coordinated lock-free batch API: sort the batch,
-//!   partition into regions by successor search, insert even regions then
-//!   odd regions (§5.3), with a map-reduce pre-pass for skewed counts
-//!   (§5.4).
+//! * [`BulkGqf`] — the coordinated lock-free batch API: hash and sort the
+//!   batch, then one even-odd apply phase
+//!   ([`gpu_sim::Device::launch_even_odd`]) partitions it into regions by
+//!   successor search and updates even regions then odd regions (§5.3),
+//!   with a map-reduce pre-pass for skewed counts (§5.4). Grow and merge
+//!   refill through the same counted apply; the SQF and RSQF baselines
+//!   are built on it.
 //!
 //! ```
 //! use gqf::PointGqf;
@@ -32,7 +35,7 @@ pub mod layout;
 pub mod point;
 pub mod runs;
 
-pub use bulk::{refill_core, BulkGqf};
+pub use bulk::BulkGqf;
 pub use core::GqfCore;
 pub use layout::{Layout, REGION_SLOTS};
 pub use point::PointGqf;

@@ -20,7 +20,7 @@
 //! This differs from the reference CQF's digit scheme (digits < remainder
 //! with special cases for 0) by up to two extra slots per *counted* item;
 //! singletons — the common case the space bound cares about — are
-//! identical. The deviation is recorded in DESIGN.md.
+//! identical.
 
 /// One decoded run entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

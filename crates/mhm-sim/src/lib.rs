@@ -9,7 +9,7 @@
 //! ~38% on the Western Arctic (WA) dataset.
 //!
 //! This crate reproduces that pipeline against synthetic metagenomes
-//! (real WA/Rhizo reads are not redistributable — DESIGN.md §2) and
+//! (real WA/Rhizo reads are not redistributable) and
 //! reports the same three memory columns as Table 3, both raw and scaled
 //! to the paper's aggregate node counts.
 

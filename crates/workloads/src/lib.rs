@@ -6,8 +6,9 @@
 //!   coefficient 1.5 over a universe the size of the dataset;
 //! * synthetic genomics: FASTQ-like reads with a sequencing-error model
 //!   and k-mer extraction, standing in for the *M. balbisiana* Squeakr
-//!   dataset and the MetaHipMer metagenomes (see DESIGN.md §2 for why the
-//!   substitution preserves the relevant count distributions);
+//!   dataset and the MetaHipMer metagenomes: the substitution keeps the
+//!   two properties that drive the filters, a skewed k-mer multiplicity
+//!   distribution and a tunable singleton fraction (see [`genomics`]);
 //! * graph edge streams (power-law and uniform) for the even-odd
 //!   dynamic-graph store of §1's generalization claim;
 //! * open-loop Poisson arrival schedules with burst episodes and a Zipf

@@ -1,7 +1,7 @@
 //! Property-based tests over the core filter invariants (proptest).
 
 use gpu_filters::prelude::*;
-use gpu_filters::substrate::sort::{lower_bound, radix_sort_u64, reduce_by_key};
+use gpu_filters::substrate::sort::{radix_sort_u64, reduce_by_key};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -94,15 +94,6 @@ proptest! {
         for (k, c) in reduced {
             prop_assert_eq!(truth[&k], c);
         }
-    }
-
-    /// lower_bound returns the partition point.
-    #[test]
-    fn lower_bound_is_partition_point(mut data in vec(any::<u64>(), 0..500), x in any::<u64>()) {
-        data.sort_unstable();
-        let i = lower_bound(&data, x);
-        prop_assert!(data[..i].iter().all(|&v| v < x));
-        prop_assert!(data[i..].iter().all(|&v| v >= x));
     }
 
     /// Bulk TCF ≡ point TCF on membership for random key sets.
