@@ -145,7 +145,7 @@ fn the_workspace_is_lint_clean() {
         findings.len(),
         findings.iter().map(|f| f.to_string()).collect::<Vec<_>>().join("\n")
     );
-    assert!(inventory.len() >= 9, "expected the full unsafe inventory, got {}", inventory.len());
+    assert!(inventory.len() >= 7, "expected the full unsafe inventory, got {}", inventory.len());
     assert!(
         inventory.iter().all(|s| s.documented),
         "every unsafe site must carry a SAFETY: comment"

@@ -6,9 +6,10 @@
 //!   device-side point APIs): the item space is striped across CPU workers,
 //!   every worker's groups race through the shared [`crate::memory`]
 //!   buffers with real atomics.
-//! * [`Device::launch_regions`] — one thread per *region* (the bulk APIs:
-//!   bulk-TCF block kernels). Two wrappers hand each region thread a slice
-//!   of a sorted batch: [`Device::launch_segments`] one per segment, and
+//! * [`Device::launch_regions`] — one thread per *region* (the bulk APIs).
+//!   Two wrappers hand each region thread a slice of a sorted batch:
+//!   [`Device::launch_grouped`] one per distinct target in one launch —
+//!   §4.2's block kernels (every bulk-TCF pass) — and
 //!   [`Device::launch_even_odd`] one per fixed-width key region in two
 //!   launches, even regions then odd — §5.3's lock-free update for any
 //!   linear-probing structure (the bulk GQF, SQF and EO hash table).
@@ -161,15 +162,21 @@ impl Device {
         self.launch_inner(n_regions, 1, n_regions as u64, true, kernel)
     }
 
-    /// Apply phase of the bulk-synchronous pattern: one region task per
-    /// segment of a [sorted, segmented](Self::sorted_segments) batch;
-    /// `kernel(seg, lo..hi)` owns `sorted[lo..hi]` exclusively.
-    pub fn launch_segments<F>(&self, bounds: &[usize], kernel: F) -> KernelStats
+    /// Sort and apply phases of §4.2's block kernels: stable-sort
+    /// `(target, payload)` pairs by target, then run `kernel(group)` once
+    /// per distinct target in one region launch, `group` holding that
+    /// target's pairs in batch order, so each region thread owns its
+    /// target exclusively. An empty batch launches nothing.
+    pub fn launch_grouped<F>(&self, mut pairs: Vec<(u64, u64)>, kernel: F)
     where
-        F: Fn(usize, std::ops::Range<usize>) + Sync,
+        F: Fn(&[(u64, u64)]) + Sync,
     {
-        let n_segments = bounds.len().saturating_sub(1);
-        self.launch_regions(n_segments, |seg| kernel(seg, bounds[seg]..bounds[seg + 1]))
+        if pairs.is_empty() {
+            return;
+        }
+        self.sort_pairs(&mut pairs);
+        let bounds = crate::sort::segment_bounds_pairs_bounded(&pairs, self.host_workers());
+        self.launch_regions(bounds.len() - 1, |g| kernel(&pairs[bounds[g]..bounds[g + 1]]));
     }
 
     /// Apply phase of §5.3's lock-free bulk update, for any
@@ -248,15 +255,6 @@ impl Device {
     /// Sort phase: device-bounded radix sort of raw hashes.
     pub fn sort_u64(&self, data: &mut [u64]) {
         crate::sort::radix_sort_u64_bounded(data, self.host_workers());
-    }
-
-    /// Sort + boundary phases in one call: stable-sort `(target, payload)`
-    /// pairs by target and return the segment bounds (one segment per
-    /// distinct target, `bounds[s]..bounds[s+1]` indexes segment `s`),
-    /// ready for [`Self::launch_segments`].
-    pub fn sorted_segments(&self, pairs: &mut [(u64, u64)]) -> Vec<usize> {
-        self.sort_pairs(pairs);
-        crate::sort::segment_bounds_pairs_bounded(pairs, self.host_workers())
     }
 
     /// Reduce phase of the map-reduce insert path (§5.4): collapse a sorted
@@ -394,23 +392,30 @@ mod tests {
     }
 
     #[test]
-    fn sorted_segments_then_launch_segments_cover_the_batch() {
+    fn grouped_launch_gives_each_target_one_group_in_batch_order() {
         let dev = Device::cori().with_workers(2);
-        let mut pairs: Vec<(u64, u64)> = (0..5000u64).map(|i| (i % 37, i)).collect();
-        let bounds = dev.sorted_segments(&mut pairs);
-        assert_eq!(bounds.len() - 1, 37, "one segment per distinct target");
+        // Interleaved targets, past the small-sort cutoff; payloads are
+        // batch positions, so each group's order can be checked.
+        let pairs: Vec<(u64, u64)> = (0..20_000u64).map(|i| ((i * 7919) % 37, i)).collect();
         let visited: Vec<AtomicU64> = (0..pairs.len()).map(|_| AtomicU64::new(0)).collect();
-        let pairs_ref = &pairs;
-        let visited_ref = &visited;
-        let stats = dev.launch_segments(&bounds, |seg, range| {
-            let target = pairs_ref[range.start].0;
-            for i in range {
-                assert_eq!(pairs_ref[i].0, target, "segment {seg} mixes targets");
-                visited_ref[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(visited.iter().all(|v| v.load(Ordering::Relaxed) == 1));
-        assert_eq!(stats.items, 37);
+        let groups: Vec<AtomicU64> = (0..37).map(|_| AtomicU64::new(0)).collect();
+        let launches = |pairs: Vec<(u64, u64)>| {
+            let before = metrics::snapshot_current_thread();
+            dev.launch_grouped(pairs, |group| {
+                let target = group[0].0;
+                groups[target as usize].fetch_add(1, Ordering::Relaxed);
+                assert!(group.iter().all(|&(t, _)| t == target), "a group mixes targets");
+                assert!(group.windows(2).all(|w| w[0].1 < w[1].1), "a group left batch order");
+                for &(_, i) in group {
+                    visited[i as usize].fetch_add(1, Ordering::Relaxed);
+                }
+            });
+            metrics::snapshot_current_thread().since(&before).get(Counter::KernelLaunches)
+        };
+        assert_eq!(launches(pairs), 1);
+        assert!(visited.iter().all(|v| v.load(Ordering::Relaxed) == 1), "one call per pair");
+        assert!(groups.iter().all(|g| g.load(Ordering::Relaxed) == 1), "one group per target");
+        assert_eq!(launches(Vec::new()), 0, "an empty batch launches nothing");
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! claim mechanically until now.
 //!
 //! With `--features race-check`, every [`GpuBuffer`](crate::GpuBuffer)
-//! access made inside a checked launch ([`crate::Device::par_map`],
-//! [`crate::Device::launch_regions`], [`crate::Device::launch_segments`])
+//! access made inside a checked launch ([`crate::Device::par_map`], and
+//! [`crate::Device::launch_regions`] with its wrappers
+//! [`crate::Device::launch_grouped`] and [`crate::Device::launch_even_odd`])
 //! is recorded into a per-launch shadow log as
 //! `(worker, buffer, slot-range, read|write)`, where *worker* is the
 //! simulated task index (the region / item id), **not** the host thread —

@@ -102,14 +102,9 @@ pub fn radix_sort_pairs_bounded(data: &mut [(u64, u64)], workers: usize) {
 
 /// Segment boundaries of a key-sorted pair batch: `bounds[s]..bounds[s+1]`
 /// spans segment `s` (one segment per distinct key; includes the final
-/// `len` sentinel). Boundary detection runs data-parallel over the batch,
-/// mirroring the successor-search partition of §5.3.
-pub fn segment_bounds_pairs(sorted: &[(u64, u64)]) -> Vec<usize> {
-    segment_bounds_pairs_bounded(sorted, 0)
-}
-
-/// [`segment_bounds_pairs`] bounded to at most `workers` concurrent scan
-/// tasks (0 = the pool default); the output is independent of the bound.
+/// `len` sentinel). Boundary detection runs data-parallel over the batch
+/// in at most `workers` concurrent scan tasks (0 = the pool default); the
+/// output is independent of the bound.
 pub fn segment_bounds_pairs_bounded(sorted: &[(u64, u64)], workers: usize) -> Vec<usize> {
     debug_assert!(sorted.windows(2).all(|w| w[0].0 <= w[1].0), "input must be key-sorted");
     let min_len = if workers == 0 { 1 } else { sorted.len().div_ceil(workers.max(1)) };
@@ -359,7 +354,7 @@ mod tests {
     fn segment_bounds_partition_sorted_pairs() {
         let mut pairs: Vec<(u64, u64)> = (0..50_000u64).map(|i| ((i * 31) % 97, i)).collect();
         radix_sort_pairs(&mut pairs);
-        let bounds = segment_bounds_pairs(&pairs);
+        let bounds = segment_bounds_pairs_bounded(&pairs, 2);
         assert_eq!(bounds[0], 0);
         assert_eq!(*bounds.last().unwrap(), pairs.len());
         for w in bounds.windows(2) {
@@ -370,6 +365,6 @@ mod tests {
                 assert_ne!(pairs[w[1]].0, seg[0].0, "split mid-segment");
             }
         }
-        assert_eq!(segment_bounds_pairs(&[]), vec![0]);
+        assert_eq!(segment_bounds_pairs_bounded(&[], 2), vec![0]);
     }
 }

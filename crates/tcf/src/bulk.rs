@@ -14,30 +14,29 @@
 //! 3. **spill pass** — whatever remains tries the other block, then the
 //!    backing table.
 //!
-//! Every pass is a region kernel: one thread owns one block, so all block
-//! mutations are exclusive and writes coalesce.
+//! A delete runs a primary-block pass and a secondary-block pass, then
+//! tries the backing table; a sorted query runs one primary-block pass,
+//! then looks its misses up key by key.
 //!
-//! Each pass runs the substrate's bulk-synchronous phase pattern —
-//! data-parallel **partition** ([`Device::par_map`] computes every item's
-//! target block), device-bounded **sort**
-//! ([`Device::sorted_segments`] groups items by block), and a per-block
-//! **apply** ([`Device::launch_segments`]) — all bounded by the
-//! [`FilterSpec::parallelism`] worker budget, and all
-//! scheduling-independent: every budget yields bit-for-bit identical
-//! tables (the parallel-oracle test tier's contract).
+//! Every block pass has one shape: a data-parallel **partition**
+//! ([`Device::par_map`] computes every item's target block), then
+//! [`Device::launch_grouped`], which **sorts** the items by block and
+//! **applies** one region kernel per block. The kernel stages its block
+//! once and, when it changes the block, writes it back in one coalesced
+//! store. One thread owns one block, so all block mutations are
+//! exclusive. Every phase is bounded by the [`FilterSpec::parallelism`]
+//! worker budget and scheduling-independent: every budget yields
+//! bit-for-bit identical tables (the parallel-oracle test tier's
+//! contract).
 
 use crate::backing::BackingTable;
-use crate::config::TcfConfig;
+use crate::config::{value_store, TcfConfig};
 use filter_core::fingerprint::EMPTY;
 use filter_core::{
-    ApiMode, DeleteOutcome, Features, FilterError, FilterMeta, FilterSpec, Fingerprint, HashPair,
-    InsertOutcome, Operation,
+    ApiMode, DeleteOutcome, Features, FilterError, FilterMeta, FilterSpec, InsertOutcome, Operation,
 };
-use gpu_sim::{Device, GpuBuffer, SharedScratch};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
-/// Seed for the fingerprint hash (matches the point TCF).
-const SEED_FP: u64 = 0xf1f0_feed;
+use gpu_sim::{Device, GpuBuffer, SharedScratch, SpanView};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// A bulk-API two-choice filter.
 ///
@@ -75,11 +74,105 @@ pub struct BulkTcf {
 struct Item {
     key: u64,
     fp: u64,
-    /// Associated value (0 for plain membership batches).
-    val: u64,
-    /// Position in the caller's batch, so per-key outcomes survive the
-    /// sort/leftover shuffling of the placement passes.
+    /// Position in the caller's batch, so per-key outcomes (and a valued
+    /// batch's values) survive the sort/leftover shuffling of the passes.
     idx: usize,
+    /// The block the item's current pass targets; a leftover keeps the
+    /// block it tried.
+    block: usize,
+}
+
+/// One result flag per batch item. A launch's kernels each set only
+/// their own items' flags, and the launch joins before anyone reads them.
+struct Flags(Vec<AtomicBool>);
+
+impl Flags {
+    fn new(n: usize) -> Self {
+        Flags((0..n).map(|_| AtomicBool::new(false)).collect())
+    }
+
+    fn set(&self, i: usize) {
+        self.0[i].store(true, Ordering::Relaxed);
+    }
+
+    fn get(&self, i: usize) -> bool {
+        self.0[i].load(Ordering::Relaxed)
+    }
+
+    /// The items whose flags stayed clear, in batch order.
+    fn unset(&self, items: &[Item]) -> Vec<Item> {
+        items.iter().enumerate().filter(|&(i, _)| !self.get(i)).map(|(_, &it)| it).collect()
+    }
+}
+
+/// One block's live entries in slot order: fingerprints and, with a value
+/// store, their values. Parallel vectors, so a block without values moves
+/// no second vector, and a delete moves 8-byte elements.
+struct Entries {
+    fps: Vec<u64>,
+    vals: Option<Vec<u64>>,
+}
+
+impl Entries {
+    fn push(&mut self, fp: u64, val: u64) {
+        self.fps.push(fp);
+        if let Some(vals) = &mut self.vals {
+            vals.push(val);
+        }
+    }
+
+    fn remove(&mut self, pos: usize) {
+        self.fps.remove(pos);
+        if let Some(vals) = &mut self.vals {
+            vals.remove(pos);
+        }
+    }
+
+    /// `(fingerprint, value)` pairs, values 0 without a store.
+    fn iter(&self) -> impl DoubleEndedIterator<Item = (u64, u64)> + ExactSizeIterator + '_ {
+        self.fps.iter().enumerate().map(|(i, &fp)| (fp, self.vals.as_ref().map_or(0, |v| v[i])))
+    }
+
+    /// The one sorted-run merge (§4.2's zip-merge): merge the sorted run
+    /// `incoming` into these sorted entries in place, from the back. On
+    /// equal fingerprints the stored entry stays first, and values travel
+    /// with their fingerprints.
+    fn merge(&mut self, incoming: impl DoubleEndedIterator<Item = (u64, u64)> + ExactSizeIterator) {
+        // Stored entries not yet moved are `..i`; `k` is the next free
+        // position, counting down from the merged length.
+        let mut i = self.fps.len();
+        let mut k = i + incoming.len();
+        self.fps.resize(k, EMPTY);
+        if let Some(vals) = &mut self.vals {
+            vals.resize(k, 0);
+        }
+        for (fp, val) in incoming.rev() {
+            while i > 0 && self.fps[i - 1] > fp {
+                (i, k) = (i - 1, k - 1);
+                self.fps[k] = self.fps[i];
+                if let Some(vals) = &mut self.vals {
+                    vals[k] = vals[i];
+                }
+            }
+            k -= 1;
+            self.fps[k] = fp;
+            if let Some(vals) = &mut self.vals {
+                vals[k] = val;
+            }
+        }
+    }
+
+    /// Coalesced write-back of a whole block of `b` slots at `start` —
+    /// the file's only stores: the fingerprints EMPTY-padded and, with a
+    /// value store, the values 0-padded.
+    fn store(mut self, table: &GpuBuffer, values: Option<&GpuBuffer>, start: usize, b: usize) {
+        self.fps.resize(b, EMPTY);
+        table.write_span_coalesced(start, &self.fps);
+        if let (Some(vb), Some(mut vals)) = (values, self.vals) {
+            vals.resize(b, 0);
+            vb.write_span_coalesced(start, &vals);
+        }
+    }
 }
 
 impl BulkTcf {
@@ -139,12 +232,7 @@ impl BulkTcf {
     /// Values move with their fingerprints through the sorted-block
     /// merges, so they survive any sequence of batches and deletes.
     pub fn with_values(mut self, value_bits: u32) -> Result<Self, FilterError> {
-        if ![8, 16, 32, 64].contains(&value_bits) {
-            return Err(FilterError::BadConfig(format!(
-                "value_bits must be 8, 16, 32 or 64, got {value_bits}"
-            )));
-        }
-        self.values = Some(GpuBuffer::new(self.table.len(), value_bits));
+        self.values = Some(value_store(self.table.len(), value_bits)?);
         Ok(self)
     }
 
@@ -169,30 +257,30 @@ impl BulkTcf {
     }
 
     #[inline]
-    fn fp_of(&self, key: u64) -> u64 {
-        Fingerprint::from_hash(filter_core::hash64_seeded(key, SEED_FP), self.cfg.fp_bits).value()
-    }
-
-    #[inline]
     fn blocks_of(&self, key: u64) -> (usize, usize) {
         let levels = self.grow_levels;
-        let (b1, b2) = HashPair::new(key).blocks((self.n_blocks >> levels) as u64);
+        let (b1, b2) = self.cfg.base_blocks(key, self.n_blocks >> levels);
         if levels == 0 {
-            return (b1 as usize, b2 as usize);
+            return (b1, b2);
         }
         // Grown table: the fingerprint's low bits select the child block,
         // so placement stays derivable from stored state alone.
-        let sub = (self.fp_of(key) & ((1u64 << levels) - 1)) as usize;
-        (((b1 as usize) << levels) | sub, ((b2 as usize) << levels) | sub)
+        let sub = (self.cfg.fingerprint(key) & ((1u64 << levels) - 1)) as usize;
+        ((b1 << levels) | sub, (b2 << levels) | sub)
     }
 
-    /// Length of the sorted live prefix of a staged block: binary search
-    /// for the first EMPTY slot of a well-formed block (live prefix, empty
-    /// suffix).
-    fn prefix_len(view: &gpu_sim::SpanView<'_>, start: usize, slots: usize) -> usize {
-        // Live fingerprints (≥ 2) fill a prefix; empties (0) the suffix.
-        let mut lo = 0;
-        let mut hi = slots;
+    /// Stage `block` in shared memory — the file's one table load — and
+    /// hand `f` the staged view, the block's first slot and its live
+    /// length. The view stays in this frame (it holds up to 64 words
+    /// inline, and returning it by value costs the hot paths).
+    #[inline]
+    fn stage<R>(&self, block: usize, f: impl FnOnce(&SpanView<'_>, usize, usize) -> R) -> R {
+        let b = self.cfg.block_slots;
+        let start = block * b;
+        let view = self.table.load_span(start, b);
+        // Live fingerprints (≥ 2) fill a sorted prefix and empties (0) the
+        // suffix, so the first empty slot is a binary search away.
+        let (mut lo, mut hi) = (0, b);
         while lo < hi {
             let mid = (lo + hi) / 2;
             if view.get(start + mid) != EMPTY {
@@ -201,110 +289,115 @@ impl BulkTcf {
                 hi = mid;
             }
         }
-        lo
+        f(&view, start, lo)
     }
 
-    /// Run one placement pass: items grouped by `target` block are merged
-    /// into their block up to `fill_cap` live slots. Returns the per-item
-    /// acceptance mask.
-    fn placement_pass(&self, items: &[Item], targets: &[usize], fill_cap: usize) -> Vec<bool> {
-        debug_assert_eq!(items.len(), targets.len());
-        if items.is_empty() {
-            return Vec::new();
-        }
-        // Partition + sort phases: (target, index) pairs built in
-        // parallel, then stable-sorted so each block's items are
-        // contiguous; bounds mark one segment per distinct block.
-        let mut order: Vec<(u64, u64)> =
-            self.device.par_map(targets.len(), |i| (targets[i] as u64, i as u64));
-        let bounds = self.device.sorted_segments(&mut order);
-
-        let accepted: Vec<AtomicBool> = (0..items.len()).map(|_| AtomicBool::new(false)).collect();
+    /// A staged block's live entries, with room for the whole block; loads
+    /// the block's values span.
+    fn read_entries(&self, view: &SpanView<'_>, start: usize, live: usize) -> Entries {
         let b = self.cfg.block_slots;
-        let order_ref = &order;
-        let accepted_ref = &accepted;
+        let read = |span: &SpanView<'_>| {
+            let mut run = Vec::with_capacity(b);
+            run.extend((start..start + live).map(|slot| span.get(slot)));
+            run
+        };
+        Entries {
+            fps: read(view),
+            vals: self.values.as_ref().map(|vb| read(&vb.load_span(start, b))),
+        }
+    }
 
-        self.device.launch_segments(&bounds, |_seg, range| {
-            let (lo, hi) = (range.start, range.end);
-            let block = order_ref[lo].0 as usize;
-            let start = block * b;
-
-            // Stage the block (shared-memory copy, one-or-two line loads).
-            let view = self.table.load_span(start, b);
-            let live = Self::prefix_len(&view, start, b);
-            if live >= fill_cap {
-                return;
-            }
-            let take = (fill_cap - live).min(hi - lo);
-            let vals = self.values.as_ref().map(|vb| vb.load_span(start, b));
-
-            // Gather + sort the incoming fingerprints in shared memory;
-            // values travel with their fingerprint through the sort.
-            let mut scratch = SharedScratch::new(take);
-            let mut incoming: Vec<(u64, u64)> = order_ref[lo..lo + take]
-                .iter()
-                .map(|&(_, idx)| (items[idx as usize].fp, items[idx as usize].val))
-                .collect();
-            incoming.sort_unstable();
-            for (j, &(fp, _)) in incoming.iter().enumerate() {
-                scratch.write(j, fp);
-            }
-            scratch.charge((take as f64 * (take.max(2) as f64).log2()) as u64);
-
-            // Zip-merge block prefix with incoming list (the three-list
-            // parallel zip of §4.2 collapses to two lists per pass here).
-            let mut merged = Vec::with_capacity(live + take);
-            let mut merged_vals = Vec::with_capacity(if vals.is_some() { live + take } else { 0 });
-            let stored_val = |i: usize| vals.as_ref().map_or(0, |v| v.get(start + i));
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < live && j < take {
-                let a = view.get(start + i);
-                if a <= incoming[j].0 {
-                    merged.push(a);
-                    if vals.is_some() {
-                        merged_vals.push(stored_val(i));
-                    }
-                    i += 1;
-                } else {
-                    merged.push(incoming[j].0);
-                    if vals.is_some() {
-                        merged_vals.push(incoming[j].1);
-                    }
-                    j += 1;
-                }
-            }
-            while i < live {
-                merged.push(view.get(start + i));
-                if vals.is_some() {
-                    merged_vals.push(stored_val(i));
-                }
-                i += 1;
-            }
-            for &(fp, v) in &incoming[j..take] {
-                merged.push(fp);
-                if vals.is_some() {
-                    merged_vals.push(v);
-                }
-            }
-            scratch.charge(merged.len() as u64);
-
-            // Coalesced write-back of the whole block (suffix stays EMPTY).
-            merged.resize(b, EMPTY);
-            self.table.write_span_coalesced(start, &merged);
-            if let Some(vb) = self.values.as_ref() {
-                merged_vals.resize(b, 0);
-                vb.write_span_coalesced(start, &merged_vals);
-            }
-
-            for &(_, idx) in &order_ref[lo..lo + take] {
-                accepted_ref[idx as usize].store(true, Ordering::Relaxed);
-            }
+    /// The one block-pass shape: group the batch positions `0..n` by
+    /// `target(i)`, stage each target block once, and run
+    /// `kernel(view, start, live, group, flags)` on it, where `group`
+    /// holds the block's `(block, position)` pairs in batch order. Returns
+    /// the flags the kernels set.
+    fn block_pass<T, K>(&self, n: usize, target: T, kernel: K) -> Flags
+    where
+        T: Fn(usize) -> usize + Sync,
+        K: Fn(&SpanView<'_>, usize, usize, &[(u64, u64)], &Flags) + Sync,
+    {
+        let pairs = self.device.par_map(n, |i| (target(i) as u64, i as u64));
+        let flags = Flags::new(n);
+        self.device.launch_grouped(pairs, |group| {
+            self.stage(group[0].0 as usize, |view, start, live| {
+                kernel(view, start, live, group, &flags)
+            })
         });
+        flags
+    }
 
-        let mask: Vec<bool> = accepted.iter().map(|a| a.load(Ordering::Relaxed)).collect();
-        let n_accepted = mask.iter().filter(|&&a| a).count();
-        self.occupied.fetch_add(n_accepted, Ordering::Relaxed);
-        mask
+    /// One placement pass: each target block takes its items, in batch
+    /// order, up to `fill_cap` live slots, with their values from `pairs`
+    /// (0 for a plain batch). Returns the items it could not place.
+    fn placement_pass(
+        &self,
+        items: Vec<Item>,
+        fill_cap: usize,
+        pairs: Option<&[(u64, u64)]>,
+    ) -> Vec<Item> {
+        let b = self.cfg.block_slots;
+        let placed = self.block_pass(
+            items.len(),
+            |i| items[i].block,
+            |view, start, live, group, placed| {
+                if live >= fill_cap {
+                    return;
+                }
+                let take = (fill_cap - live).min(group.len());
+                let mut entries = self.read_entries(view, start, live);
+
+                // Gather + sort the incoming fingerprints in shared memory;
+                // values travel with their fingerprint through the sort.
+                let mut scratch = SharedScratch::new(take);
+                let mut incoming: Vec<(u64, u64)> = group[..take]
+                    .iter()
+                    .map(|&(_, i)| {
+                        let item = items[i as usize];
+                        (item.fp, pairs.map_or(0, |p| p[item.idx].1))
+                    })
+                    .collect();
+                incoming.sort_unstable();
+                for (j, &(fp, _)) in incoming.iter().enumerate() {
+                    scratch.write(j, fp);
+                }
+                scratch.charge((take as f64 * (take.max(2) as f64).log2()) as u64);
+
+                // Zip-merge (the three-list parallel zip of §4.2 collapses to
+                // two lists per pass here), then write the whole block back.
+                entries.merge(incoming.into_iter());
+                scratch.charge(entries.fps.len() as u64);
+                entries.store(&self.table, self.values.as_ref(), start, b);
+                for &(_, i) in &group[..take] {
+                    placed.set(i as usize);
+                }
+            },
+        );
+        placed.unset(&items)
+    }
+
+    /// One delete pass: each item removes one copy of its fingerprint
+    /// from its target block. Returns the items whose fingerprint the
+    /// block did not hold.
+    fn delete_pass(&self, items: Vec<Item>) -> Vec<Item> {
+        let b = self.cfg.block_slots;
+        let removed = self.block_pass(
+            items.len(),
+            |i| items[i].block,
+            |view, start, live, group, removed| {
+                let mut entries = self.read_entries(view, start, live);
+                for &(_, i) in group {
+                    if let Ok(pos) = entries.fps.binary_search(&items[i as usize].fp) {
+                        entries.remove(pos);
+                        removed.set(i as usize);
+                    }
+                }
+                if entries.fps.len() < live {
+                    entries.store(&self.table, self.values.as_ref(), start, b);
+                }
+            },
+        );
+        removed.unset(&items)
     }
 
     /// Binary-search one staged block for `fp`.
@@ -318,71 +411,18 @@ impl BulkTcf {
     /// would return an arbitrary duplicate, so the value read for a
     /// duplicated fingerprint would depend on search order.
     fn block_find(&self, block: usize, fp: u64) -> Option<usize> {
-        let b = self.cfg.block_slots;
-        let start = block * b;
-        let view = self.table.load_span(start, b);
-        let live = Self::prefix_len(&view, start, b);
-        let (mut lo, mut hi) = (0usize, live);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if view.get(start + mid) < fp {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        (lo < live && view.get(start + lo) == fp).then_some(lo)
-    }
-
-    /// Bulk delete pass over one target list; flags removed items.
-    fn delete_pass(&self, items: &[Item], targets: &[usize]) -> Vec<bool> {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        let mut order: Vec<(u64, u64)> =
-            self.device.par_map(targets.len(), |i| (targets[i] as u64, i as u64));
-        let bounds = self.device.sorted_segments(&mut order);
-
-        let removed: Vec<AtomicBool> = (0..items.len()).map(|_| AtomicBool::new(false)).collect();
-        let b = self.cfg.block_slots;
-        let order_ref = &order;
-        let removed_ref = &removed;
-
-        self.device.launch_segments(&bounds, |_seg, range| {
-            let (lo, hi) = (range.start, range.end);
-            let block = order_ref[lo].0 as usize;
-            let start = block * b;
-            let view = self.table.load_span(start, b);
-            let live = Self::prefix_len(&view, start, b);
-            let vals = self.values.as_ref().map(|vb| vb.load_span(start, b));
-            let mut contents: Vec<u64> = (0..live).map(|i| view.get(start + i)).collect();
-            let mut contents_vals: Vec<u64> = match &vals {
-                Some(v) => (0..live).map(|i| v.get(start + i)).collect(),
-                None => Vec::new(),
-            };
-            let mut changed = false;
-            for &(_, idx) in &order_ref[lo..hi] {
-                let fp = items[idx as usize].fp;
-                if let Ok(pos) = contents.binary_search(&fp) {
-                    contents.remove(pos);
-                    if vals.is_some() {
-                        contents_vals.remove(pos);
-                    }
-                    removed_ref[idx as usize].store(true, Ordering::Relaxed);
-                    changed = true;
+        self.stage(block, |view, start, live| {
+            let (mut lo, mut hi) = (0usize, live);
+            while lo < hi {
+                let mid = (lo + hi) / 2;
+                if view.get(start + mid) < fp {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
                 }
             }
-            if changed {
-                contents.resize(b, EMPTY);
-                self.table.write_span_coalesced(start, &contents);
-                if let Some(vb) = self.values.as_ref() {
-                    contents_vals.resize(b, 0);
-                    vb.write_span_coalesced(start, &contents_vals);
-                }
-            }
-        });
-
-        removed.iter().map(|r| r.load(Ordering::Relaxed)).collect()
+            (lo < live && view.get(start + lo) == fp).then_some(lo)
+        })
     }
 
     /// Enumerate all live fingerprints (host-side; sorted within blocks).
@@ -408,28 +448,28 @@ impl BulkTcf {
         self.grow_levels
     }
 
-    /// Read one block's live `(fingerprint, value)` prefix (values 0
-    /// without a store). Shared by the grow/merge migrations.
-    fn block_entries(&self, block: usize) -> Vec<(u64, u64)> {
-        let b = self.cfg.block_slots;
-        let start = block * b;
-        let view = self.table.load_span(start, b);
-        let live = Self::prefix_len(&view, start, b);
-        let vals = self.values.as_ref().map(|vb| vb.load_span(start, b));
-        (0..live)
-            .map(|i| (view.get(start + i), vals.as_ref().map_or(0, |v| v.get(start + i))))
-            .collect()
+    /// One block's live entries. Shared by the grow/merge migrations.
+    fn block_entries(&self, block: usize) -> Entries {
+        self.stage(block, |view, start, live| self.read_entries(view, start, live))
     }
 
     /// Entries of `self`'s block `src` that belong in child block `dst`
     /// of a table with `dst_levels` doubling generations (`dst_levels >=
     /// self.grow_levels`): the fingerprint's low `dst_levels` bits must
     /// spell `dst`'s sub-index. Order (sorted) is preserved.
-    fn entries_for_child(&self, src: usize, dst: usize, dst_levels: u32) -> Vec<(u64, u64)> {
+    fn entries_for_child(&self, src: usize, dst: usize, dst_levels: u32) -> Entries {
+        let b = self.cfg.block_slots;
         let mask = (1u64 << dst_levels) - 1;
-        let want = dst as u64 & mask;
-        let mut entries = self.block_entries(src);
-        entries.retain(|&(fp, _)| fp & mask == want);
+        // Room for the whole block, so a grow's write-back pads in place.
+        let mut entries = Entries {
+            fps: Vec::with_capacity(b),
+            vals: self.values.as_ref().map(|_| Vec::with_capacity(b)),
+        };
+        for (fp, val) in self.block_entries(src).iter() {
+            if fp & mask == dst as u64 & mask {
+                entries.push(fp, val);
+            }
+        }
         entries
     }
 }
@@ -466,23 +506,13 @@ impl filter_core::MaintainableFilter for BulkTcf {
         let new_values =
             self.values.as_ref().map(|v| GpuBuffer::new(new_blocks * b, v.elem_bits()));
 
-        let new_table_ref = &new_table;
-        let new_values_ref = &new_values;
         self.device.launch_regions(new_blocks, |nb| {
             // The one parent whose entries can land in child `nb`: same
             // base block, same low `old_levels` fingerprint bits.
             let parent = ((nb >> new_levels) << old_levels) | (nb & ((1usize << old_levels) - 1));
             let entries = self.entries_for_child(parent, nb, new_levels);
-            if entries.is_empty() {
-                return;
-            }
-            let mut fps: Vec<u64> = entries.iter().map(|&(fp, _)| fp).collect();
-            fps.resize(b, EMPTY);
-            new_table_ref.write_span_coalesced(nb * b, &fps);
-            if let Some(vb) = new_values_ref.as_ref() {
-                let mut vals: Vec<u64> = entries.iter().map(|&(_, v)| v).collect();
-                vals.resize(b, 0);
-                vb.write_span_coalesced(nb * b, &vals);
+            if !entries.fps.is_empty() {
+                entries.store(&new_table, new_values.as_ref(), nb * b, b);
             }
         });
 
@@ -509,9 +539,9 @@ impl filter_core::MaintainableFilter for BulkTcf {
             let items: Vec<Item> = spilled
                 .iter()
                 .enumerate()
-                .map(|(i, &(key, fp))| Item { key, fp, val: 0, idx: i })
+                .map(|(idx, &(key, fp))| Item { key, fp, idx, block: self.blocks_of(key).0 })
                 .collect();
-            let failures = self.insert_items(items, true);
+            let failures = self.insert_items(items, None);
             if !failures.is_empty() {
                 // Both candidate blocks and the fresh backing refused an
                 // item straight after capacity doubled — not a reachable
@@ -561,43 +591,19 @@ impl filter_core::MaintainableFilter for BulkTcf {
             self.values.as_ref().map(|v| GpuBuffer::new(self.n_blocks * b, v.elem_bits()));
         let overflow = AtomicBool::new(false);
 
-        let new_table_ref = &new_table;
-        let new_values_ref = &new_values;
-        let overflow_ref = &overflow;
         self.device.launch_regions(self.n_blocks, |nb| {
-            let mine = self.block_entries(nb);
+            let mut mine = self.block_entries(nb);
             let parent = ((nb >> ls) << lo) | (nb & ((1usize << lo) - 1));
             let theirs = other.entries_for_child(parent, nb, ls);
-            if mine.len() + theirs.len() > b {
-                overflow_ref.store(true, Ordering::Relaxed);
+            if mine.fps.len() + theirs.fps.len() > b {
+                overflow.store(true, Ordering::Relaxed);
                 return;
             }
-            if mine.is_empty() && theirs.is_empty() {
+            if mine.fps.is_empty() && theirs.fps.is_empty() {
                 return;
             }
-            // Merge the two sorted runs, values travelling with their
-            // fingerprints.
-            let mut merged = Vec::with_capacity(mine.len() + theirs.len());
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < mine.len() && j < theirs.len() {
-                if mine[i].0 <= theirs[j].0 {
-                    merged.push(mine[i]);
-                    i += 1;
-                } else {
-                    merged.push(theirs[j]);
-                    j += 1;
-                }
-            }
-            merged.extend_from_slice(&mine[i..]);
-            merged.extend_from_slice(&theirs[j..]);
-            let mut fps: Vec<u64> = merged.iter().map(|&(fp, _)| fp).collect();
-            fps.resize(b, EMPTY);
-            new_table_ref.write_span_coalesced(nb * b, &fps);
-            if let Some(vb) = new_values_ref.as_ref() {
-                let mut vals: Vec<u64> = merged.iter().map(|&(_, v)| v).collect();
-                vals.resize(b, 0);
-                vb.write_span_coalesced(nb * b, &vals);
-            }
+            mine.merge(theirs.iter());
+            mine.store(&new_table, new_values.as_ref(), nb * b, b);
         });
         if overflow.load(Ordering::Relaxed) {
             return Err(FilterError::needs_growth(self.load_factor()));
@@ -629,16 +635,15 @@ impl BulkTcf {
     /// Insert a batch; returns the number of items that could not be
     /// placed anywhere (0 on success).
     pub fn insert_batch(&self, keys: &[u64]) -> usize {
-        self.insert_items(self.hash_items(keys), true).len()
+        self.insert_items(self.hash_items(keys.len(), |i| keys[i]), None).len()
     }
 
-    /// Hash phase: fingerprint every key in parallel (batch order kept).
-    fn hash_items(&self, keys: &[u64]) -> Vec<Item> {
-        self.device.par_map(keys.len(), |i| Item {
-            key: keys[i],
-            fp: self.fp_of(keys[i]),
-            val: 0,
-            idx: i,
+    /// Hash phase: every batch key's fingerprint and primary block,
+    /// computed in parallel (batch order kept).
+    fn hash_items(&self, n: usize, key_at: impl Fn(usize) -> u64 + Sync) -> Vec<Item> {
+        self.device.par_map(n, |idx| {
+            let key = key_at(idx);
+            Item { key, fp: self.cfg.fingerprint(key), idx, block: self.blocks_of(key).0 }
         })
     }
 
@@ -646,7 +651,7 @@ impl BulkTcf {
     pub fn insert_batch_report(&self, keys: &[u64], out: &mut [InsertOutcome]) {
         assert_eq!(keys.len(), out.len());
         out.fill(InsertOutcome::Inserted);
-        for idx in self.insert_items(self.hash_items(keys), true) {
+        for idx in self.insert_items(self.hash_items(keys.len(), |i| keys[i]), None) {
             out[idx] = InsertOutcome::Failed;
         }
     }
@@ -660,11 +665,7 @@ impl BulkTcf {
         if self.values.is_none() {
             return pairs.len();
         }
-        let items: Vec<Item> = self.device.par_map(pairs.len(), |i| {
-            let (k, v) = pairs[i];
-            Item { key: k, fp: self.fp_of(k), val: v, idx: i }
-        });
-        self.insert_items(items, false).len()
+        self.insert_items(self.hash_items(pairs.len(), |i| pairs[i].0), Some(pairs)).len()
     }
 
     /// Look up the values associated with a batch of keys (`None` when
@@ -674,263 +675,166 @@ impl BulkTcf {
         let Some(vb) = self.values.as_ref() else {
             return vec![None; keys.len()];
         };
-        let out: Vec<std::sync::atomic::AtomicU64> =
-            (0..keys.len()).map(|_| std::sync::atomic::AtomicU64::new(u64::MAX)).collect();
-        let out_ref = &out;
+        let b = self.cfg.block_slots;
+        let found = Flags::new(keys.len());
+        let vals: Vec<AtomicU64> = (0..keys.len()).map(|_| AtomicU64::new(0)).collect();
         self.device.launch_point(keys.len(), self.cfg.cg_size, |i| {
-            let key = keys[i];
-            let fp = self.fp_of(key);
-            let (p, s) = self.blocks_of(key);
+            let fp = self.cfg.fingerprint(keys[i]);
+            let (p, s) = self.blocks_of(keys[i]);
             let slot = self
                 .block_find(p, fp)
-                .map(|pos| p * self.cfg.block_slots + pos)
-                .or_else(|| self.block_find(s, fp).map(|pos| s * self.cfg.block_slots + pos));
+                .map(|pos| p * b + pos)
+                .or_else(|| self.block_find(s, fp).map(|pos| s * b + pos));
             if let Some(slot) = slot {
-                out_ref[i].store(vb.read(slot), Ordering::Relaxed);
+                vals[i].store(vb.read(slot), Ordering::Relaxed);
+                found.set(i);
             }
         });
-        out.into_iter()
-            .map(|a| {
-                let v = a.into_inner();
-                if v == u64::MAX {
-                    None
-                } else {
-                    Some(v)
-                }
-            })
-            .collect()
+        vals.into_iter().enumerate().map(|(i, v)| found.get(i).then(|| v.into_inner())).collect()
     }
 
-    /// Shared batch-insert flow for plain and valued items. Returns the
-    /// original batch indices of the items that could not be placed.
-    fn insert_items(&self, items: Vec<Item>, spill_to_backing: bool) -> Vec<usize> {
-        // Pass 1 — shortcut: primary block up to the shortcut threshold
-        // (targets computed in the data-parallel partition phase).
-        let cap1 = ((self.cfg.block_slots as f64) * self.cfg.shortcut_fill).floor() as usize;
-        let targets: Vec<usize> =
-            self.device.par_map(items.len(), |i| self.blocks_of(items[i].key).0);
-        let mask = self.placement_pass(&items, &targets, cap1.max(1));
-        let leftover: Vec<Item> =
-            items.iter().zip(&mask).filter(|(_, &a)| !a).map(|(it, _)| *it).collect();
-        if leftover.is_empty() {
-            return Vec::new();
-        }
+    /// Shared batch-insert flow for plain and valued items; a valued
+    /// batch passes its `(key, value)` pairs. Returns the original batch
+    /// indices of the items that could not be placed.
+    fn insert_items(&self, items: Vec<Item>, pairs: Option<&[(u64, u64)]>) -> Vec<usize> {
+        let b = self.cfg.block_slots;
+        let n = items.len();
+        // Pass 1 — shortcut: the primary block (the hash phase's target)
+        // up to the shortcut threshold.
+        let cap1 = ((b as f64) * self.cfg.shortcut_fill).floor() as usize;
+        let left = self.placement_pass(items, cap1.max(1), pairs);
 
         // Pass 2 — POTC: the less-full of the two blocks, to capacity.
         // The fill inspection only reads block prefixes pass 1 already
         // finalized, so it parallelizes over the leftover items.
-        let b = self.cfg.block_slots;
-        let targets: Vec<usize> = self.device.par_map(leftover.len(), |i| {
-            let (p, s) = self.blocks_of(leftover[i].key);
-            let pv = self.table.load_span(p * b, b);
-            let pl = Self::prefix_len(&pv, p * b, b);
-            let sv = self.table.load_span(s * b, b);
-            let sl = Self::prefix_len(&sv, s * b, b);
-            if sl < pl {
-                s
-            } else {
-                p
-            }
+        let fill = |block| self.stage(block, |_, _, live| live);
+        let left = self.device.par_map(left.len(), |i| {
+            let (p, s) = self.blocks_of(left[i].key);
+            Item { block: if fill(s) < fill(p) { s } else { p }, ..left[i] }
         });
-        let mask = self.placement_pass(&leftover, &targets, b);
-        let leftover: Vec<(Item, usize)> = leftover
-            .iter()
-            .zip(&mask)
-            .zip(&targets)
-            .filter(|((_, &a), _)| !a)
-            .map(|((it, _), &t)| (*it, t))
-            .collect();
-        if leftover.is_empty() {
-            return Vec::new();
-        }
+        let left = self.placement_pass(left, b, pairs);
 
         // Pass 3 — spill: the block pass 2 did not target.
-        let items3: Vec<Item> = leftover.iter().map(|(it, _)| *it).collect();
-        let targets: Vec<usize> = leftover
-            .iter()
-            .map(|(it, tried)| {
-                let (p, s) = self.blocks_of(it.key);
-                if *tried == p {
-                    s
-                } else {
-                    p
-                }
-            })
-            .collect();
-        let mask = self.placement_pass(&items3, &targets, b);
+        let left = self.device.par_map(left.len(), |i| {
+            let (p, s) = self.blocks_of(left[i].key);
+            Item { block: if left[i].block == p { s } else { p }, ..left[i] }
+        });
+        let left = self.placement_pass(left, b, pairs);
 
         // Final spill — backing table (valued items fail instead: backing
         // slots cannot carry values).
-        let mut failures = Vec::new();
-        for (it, &a) in items3.iter().zip(&mask) {
-            if !a {
-                if spill_to_backing && self.cfg.backing_table && self.backing.insert(it.key, it.fp)
-                {
-                    self.occupied.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    failures.push(it.idx);
-                }
-            }
-        }
+        let failures: Vec<usize> = left
+            .iter()
+            .filter(|it| {
+                !(pairs.is_none() && self.cfg.backing_table && self.backing.insert(it.key, it.fp))
+            })
+            .map(|it| it.idx)
+            .collect();
+        self.occupied.fetch_add(n - failures.len(), Ordering::Relaxed);
         failures
     }
 
     /// Query a batch.
     pub fn query_batch(&self, keys: &[u64], out: &mut [bool]) {
         assert_eq!(keys.len(), out.len());
-        let out_ptr = SharedOut(out.as_mut_ptr());
+        let hits = Flags::new(keys.len());
         self.device.launch_point(keys.len(), self.cfg.cg_size, |i| {
             let key = keys[i];
-            let fp = self.fp_of(key);
+            let fp = self.cfg.fingerprint(key);
             let (p, s) = self.blocks_of(key);
-            let hit = self.block_search(p, fp)
+            if self.block_search(p, fp)
                 || self.block_search(s, fp)
-                || (self.cfg.backing_table && self.backing.contains(key, fp));
-            out_ptr.write(i, hit);
+                || (self.cfg.backing_table && self.backing.contains(key, fp))
+            {
+                hits.set(i);
+            }
         });
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = hits.get(i);
+        }
     }
 
     /// Sorted-batch query (§4.2: blocks "can be queried … in linear time
-    /// for a batch of queries"): queries are sorted by primary block so
-    /// each block is staged once and scanned against its whole query
-    /// group with a two-pointer merge, instead of one binary search per
-    /// query. Misses fall back to the secondary block and backing table.
+    /// for a batch of queries"): one grouped pass stages each primary
+    /// block once and scans it against its whole query group with a
+    /// two-pointer merge, instead of one binary search per query. Misses
+    /// fall back to the secondary block and backing table.
     pub fn query_batch_sorted(&self, keys: &[u64], out: &mut [bool]) {
         assert_eq!(keys.len(), out.len());
         if keys.is_empty() {
             return;
         }
-        let b = self.cfg.block_slots;
-
-        // Partition + sort phases: group queries by primary block.
-        let mut order: Vec<(u64, u64)> =
-            self.device.par_map(keys.len(), |i| (self.blocks_of(keys[i]).0 as u64, i as u64));
-        let bounds = self.device.sorted_segments(&mut order);
-
-        let hits: Vec<AtomicBool> = (0..keys.len()).map(|_| AtomicBool::new(false)).collect();
-        let order_ref = &order;
-        let hits_ref = &hits;
-
-        self.device.launch_segments(&bounds, |_seg, range| {
-            let (lo, hi) = (range.start, range.end);
-            let block = order_ref[lo].0 as usize;
-            let start = block * b;
-            let view = self.table.load_span(start, b);
-            let live = Self::prefix_len(&view, start, b);
-
+        let primary = |i: usize| self.blocks_of(keys[i]).0;
+        let hits = self.block_pass(keys.len(), primary, |view, start, live, group, hits| {
             // Sort this block's query fingerprints, then merge-scan the
             // staged sorted prefix in one linear pass.
-            let mut fps: Vec<(u64, u64)> = order_ref[lo..hi]
-                .iter()
-                .map(|&(_, idx)| (self.fp_of(keys[idx as usize]), idx))
-                .collect();
+            let mut fps: Vec<(u64, u64)> =
+                group.iter().map(|&(_, i)| (self.cfg.fingerprint(keys[i as usize]), i)).collect();
             fps.sort_unstable();
-            let mut i = 0usize;
-            for &(fp, idx) in &fps {
-                // Advance the cursor to the first stored slot >= fp.
-                while i < live && view.get(start + i) < fp {
-                    i += 1;
+            let mut slot = start;
+            for (fp, i) in fps {
+                // Advance the cursor to the first stored slot >= fp. Equal
+                // fingerprints in the batch re-test the same slot; the
+                // cursor never moves backwards because fps ascend.
+                while slot < start + live && view.get(slot) < fp {
+                    slot += 1;
                 }
-                if i < live && view.get(start + i) == fp {
-                    hits_ref[idx as usize].store(true, Ordering::Relaxed);
+                if slot < start + live && view.get(slot) == fp {
+                    hits.set(i as usize);
                 }
-                // Equal fingerprints in the batch re-test the same slot;
-                // the cursor never moves backwards because fps ascend.
             }
         });
 
-        // Fallback pass for misses: secondary block + backing table.
-        let miss: Vec<usize> =
-            (0..keys.len()).filter(|&i| !hits[i].load(Ordering::Relaxed)).collect();
-        let miss_ref = &miss;
+        // Fallback pass for misses: secondary block + backing table (it
+        // launches even when nothing missed).
+        let miss: Vec<usize> = (0..keys.len()).filter(|&i| !hits.get(i)).collect();
         self.device.launch_point(miss.len(), self.cfg.cg_size, |j| {
-            let i = miss_ref[j];
-            let key = keys[i];
-            let fp = self.fp_of(key);
-            let (_, sb) = self.blocks_of(key);
-            if self.block_search(sb, fp)
+            let key = keys[miss[j]];
+            let fp = self.cfg.fingerprint(key);
+            if self.block_search(self.blocks_of(key).1, fp)
                 || (self.cfg.backing_table && self.backing.contains(key, fp))
             {
-                hits_ref[i].store(true, Ordering::Relaxed);
+                hits.set(miss[j]);
             }
         });
-
-        for (o, h) in out.iter_mut().zip(&hits) {
-            *o = h.load(Ordering::Relaxed);
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = hits.get(i);
         }
     }
 
     /// Delete a batch of previously inserted keys; returns the count whose
     /// fingerprints were not found.
     pub fn delete_batch(&self, keys: &[u64]) -> usize {
-        self.delete_items(keys).iter().filter(|&&removed| !removed).count()
+        self.delete_items(keys).len()
     }
 
     /// Delete a batch with per-key outcomes: `out[i]` answers `keys[i]`.
     pub fn delete_batch_report(&self, keys: &[u64], out: &mut [DeleteOutcome]) {
         assert_eq!(keys.len(), out.len());
-        for (o, removed) in out.iter_mut().zip(self.delete_items(keys)) {
-            *o = if removed { DeleteOutcome::Removed } else { DeleteOutcome::NotFound };
+        out.fill(DeleteOutcome::Removed);
+        for idx in self.delete_items(keys) {
+            out[idx] = DeleteOutcome::NotFound;
         }
     }
 
     /// Shared batch-delete flow: primary-block pass, secondary-block pass,
-    /// then the backing table. Returns the per-key removed mask in the
-    /// caller's batch order.
-    fn delete_items(&self, keys: &[u64]) -> Vec<bool> {
-        let items = self.hash_items(keys);
-        let mut removed_mask = vec![false; keys.len()];
+    /// then the backing table. Returns the original batch indices of the
+    /// keys whose fingerprints were not found.
+    fn delete_items(&self, keys: &[u64]) -> Vec<usize> {
+        let left = self.delete_pass(self.hash_items(keys.len(), |i| keys[i]));
+        let left = self
+            .device
+            .par_map(left.len(), |i| Item { block: self.blocks_of(left[i].key).1, ..left[i] });
+        let left = self.delete_pass(left);
 
-        let targets: Vec<usize> =
-            self.device.par_map(items.len(), |i| self.blocks_of(items[i].key).0);
-        let removed = self.delete_pass(&items, &targets);
-        let leftover: Vec<Item> =
-            items.iter().zip(&removed).filter(|(_, &r)| !r).map(|(it, _)| *it).collect();
-
-        let targets: Vec<usize> =
-            self.device.par_map(leftover.len(), |i| self.blocks_of(leftover[i].key).1);
-        let removed = self.delete_pass(&leftover, &targets);
-        let leftover: Vec<Item> =
-            leftover.iter().zip(&removed).filter(|(_, &r)| !r).map(|(it, _)| *it).collect();
-
-        // The passes removed everything except `leftover`; the backing
-        // table gets a shot at the rest.
-        let mut n_removed = items.len() - leftover.len();
-        for m in removed_mask.iter_mut() {
-            *m = true;
-        }
-        for it in &leftover {
-            removed_mask[it.idx] = false;
-        }
-        for it in &leftover {
-            if self.cfg.backing_table && self.backing.remove(it.key, it.fp) {
-                removed_mask[it.idx] = true;
-                n_removed += 1;
-            }
-        }
-        self.occupied.fetch_sub(n_removed, Ordering::Relaxed);
-        removed_mask
-    }
-}
-
-/// Raw output pointer for the query kernel (disjoint writes per item).
-struct SharedOut(*mut bool);
-// SAFETY: SharedOut is only shared across the query kernel's workers, and
-// each worker writes the distinct slot of its own item index (see
-// `write`), so concurrent use never produces overlapping writes.
-unsafe impl Sync for SharedOut {}
-
-impl SharedOut {
-    /// Write slot `i`.
-    ///
-    /// # Safety contract (internal)
-    /// Each kernel instance writes a distinct `i`, so writes never alias.
-    #[inline]
-    fn write(&self, i: usize, v: bool) {
-        // SAFETY: the pointer was created from a slice of length >= the
-        // item count, `i` is an in-bounds item index, and per the contract
-        // above no other worker writes slot `i` during the launch.
-        unsafe { self.0.add(i).write(v) };
+        // The backing table gets a shot at the rest.
+        let missing: Vec<usize> = left
+            .iter()
+            .filter(|it| !(self.cfg.backing_table && self.backing.remove(it.key, it.fp)))
+            .map(|it| it.idx)
+            .collect();
+        self.occupied.fetch_sub(keys.len() - missing.len(), Ordering::Relaxed);
+        missing
     }
 }
 
@@ -1114,17 +1018,14 @@ mod tests {
 
         // Keys resident in the first or last live slot of their primary
         // block — the merge-scan cursor's edge positions.
-        let b = f.cfg.block_slots;
         let mut boundary = Vec::new();
         for &k in &keys {
-            let (p, _) = f.blocks_of(k);
-            let view = f.table.load_span(p * b, b);
-            let live = BulkTcf::prefix_len(&view, p * b, b);
-            if live > 0 {
-                let fp = f.fp_of(k);
-                if view.get(p * b) == fp || view.get(p * b + live - 1) == fp {
-                    boundary.push(k);
-                }
+            let fp = f.cfg.fingerprint(k);
+            let at_edge = f.stage(f.blocks_of(k).0, |view, start, live| {
+                live > 0 && (view.get(start) == fp || view.get(start + live - 1) == fp)
+            });
+            if at_edge {
+                boundary.push(k);
             }
             if boundary.len() >= 64 {
                 break;
@@ -1162,13 +1063,11 @@ mod tests {
         let f = BulkTcf::new(1 << 10).unwrap();
         let key = hashed_keys(93, 1)[0];
         f.insert_batch(&[key; 5]);
-        let fp = f.fp_of(key);
+        let fp = f.cfg.fingerprint(key);
         let (p, s) = f.blocks_of(key);
-        let b = f.cfg.block_slots;
         for blk in [p, s] {
-            let view = f.table.load_span(blk * b, b);
-            let live = BulkTcf::prefix_len(&view, blk * b, b);
-            let first = (0..live).find(|&i| view.get(blk * b + i) == fp);
+            let first =
+                f.stage(blk, |view, start, live| (0..live).find(|&i| view.get(start + i) == fp));
             assert_eq!(f.block_find(blk, fp), first, "block {blk}");
         }
     }
@@ -1535,6 +1434,18 @@ mod sorted_query_tests {
         assert_eq!(f.value_bits(), 0);
         assert_eq!(f.insert_values_batch(&[(1, 2)]), 1);
         assert_eq!(f.query_values_batch(&[1]), vec![None]);
+    }
+
+    /// `u64::MAX` is a legal value in a 64-bit store, so it must not
+    /// double as the "absent" mark.
+    #[test]
+    fn a_stored_u64_max_reads_back_as_a_value() {
+        let f = BulkTcf::new(1 << 10).unwrap().with_values(64).unwrap();
+        assert_eq!(f.insert_values_batch(&[(11, u64::MAX), (12, 7), (13, u64::MAX - 1)]), 0);
+        assert_eq!(
+            f.query_values_batch(&[11, 12, 13, 14]),
+            vec![Some(u64::MAX), Some(7), Some(u64::MAX - 1), None]
+        );
     }
 
     #[test]

@@ -1,7 +1,12 @@
 //! TCF configurations: fingerprint width × block size × cooperative-group
-//! size, including the seven variants swept in the paper's Fig. 5.
+//! size, including the seven variants swept in the paper's Fig. 5, and
+//! the key mapping and value store both TCF variants share.
 
-use filter_core::FilterError;
+use filter_core::{FilterError, Fingerprint, HashPair};
+use gpu_sim::GpuBuffer;
+
+/// Seed for the fingerprint hash (independent of the POTC block hashes).
+const SEED_FP: u64 = 0xf1f0_feed;
 
 /// Configuration of a two-choice filter.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -102,6 +107,21 @@ impl TcfConfig {
         (2 * self.block_slots) as f64 / 2f64.powi(self.fp_bits as i32)
     }
 
+    /// `key`'s fingerprint at this width (never EMPTY). With
+    /// [`Self::base_blocks`], the one key mapping of both TCFs.
+    #[inline]
+    pub(crate) fn fingerprint(&self, key: u64) -> u64 {
+        Fingerprint::from_hash(filter_core::hash64_seeded(key, SEED_FP), self.fp_bits).value()
+    }
+
+    /// `key`'s primary and secondary block among `n_blocks` base blocks:
+    /// the two independent power-of-two-choice hashes.
+    #[inline]
+    pub(crate) fn base_blocks(&self, key: u64, n_blocks: usize) -> (usize, usize) {
+        let (b1, b2) = HashPair::new(key).blocks(n_blocks as u64);
+        (b1 as usize, b2 as usize)
+    }
+
     /// Validate the configuration.
     pub fn validate(&self) -> Result<(), FilterError> {
         if ![8, 12, 16, 32].contains(&self.fp_bits) {
@@ -130,6 +150,17 @@ impl TcfConfig {
         }
         Ok(())
     }
+}
+
+/// A per-slot value store of `value_bits` (8, 16, 32 or 64) for a table
+/// of `slots` slots.
+pub(crate) fn value_store(slots: usize, value_bits: u32) -> Result<GpuBuffer, FilterError> {
+    if ![8, 16, 32, 64].contains(&value_bits) {
+        return Err(FilterError::BadConfig(format!(
+            "value_bits must be 8, 16, 32 or 64, got {value_bits}"
+        )));
+    }
+    Ok(GpuBuffer::new(slots, value_bits))
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@
 //! assert!(!f.contains(12345));
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod backing;
 pub mod block;

@@ -8,16 +8,12 @@
 
 use crate::backing::BackingTable;
 use crate::block::{block_delete, block_fill, block_insert_at, block_query};
-use crate::config::TcfConfig;
+use crate::config::{value_store, TcfConfig};
 use filter_core::{
-    Deletable, Features, Filter, FilterError, FilterMeta, FilterSpec, Fingerprint, HashPair,
-    Operation, Valued,
+    Deletable, Features, Filter, FilterError, FilterMeta, FilterSpec, Operation, Valued,
 };
 use gpu_sim::{Cg, GpuBuffer};
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Seed for the fingerprint hash (independent of the POTC block hashes).
-const SEED_FP: u64 = 0xf1f0_feed;
 
 /// Where an item was found/placed — used internally and by the value path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,12 +89,7 @@ impl PointTcf {
 
     /// Attach a value store of `value_bits` per slot (8, 16, 32 or 64).
     pub fn with_values(mut self, value_bits: u32) -> Result<Self, FilterError> {
-        if ![8, 16, 32, 64].contains(&value_bits) {
-            return Err(FilterError::BadConfig(format!(
-                "value_bits must be 8, 16, 32 or 64, got {value_bits}"
-            )));
-        }
-        self.values = Some(GpuBuffer::new(self.table.len(), value_bits));
+        self.values = Some(value_store(self.table.len(), value_bits)?);
         Ok(self)
     }
 
@@ -119,11 +110,9 @@ impl PointTcf {
 
     #[inline]
     fn hash_parts(&self, key: u64) -> (usize, usize, u64) {
-        let pair = HashPair::new(key);
-        let (b1, b2) = pair.blocks(self.n_blocks as u64);
-        let fp = Fingerprint::from_hash(filter_core::hash64_seeded(key, SEED_FP), self.cfg.fp_bits)
-            .value();
-        (b1 as usize * self.cfg.block_slots, b2 as usize * self.cfg.block_slots, fp)
+        let (b1, b2) = self.cfg.base_blocks(key, self.n_blocks);
+        let b = self.cfg.block_slots;
+        (b1 * b, b2 * b, self.cfg.fingerprint(key))
     }
 
     /// Insert returning where the item landed (used by the value path).

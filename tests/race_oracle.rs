@@ -3,7 +3,8 @@
 //! (`gpu-sim::shadow`).
 //!
 //! The paper's bulk kernels have no locks: even-odd phase ownership
-//! (GQF/SQF) and block-segment ownership (TCF) are supposed to make every
+//! (GQF/SQF) and grouped block ownership (TCF: `launch_grouped` gives each
+//! block's items to one worker) are supposed to make every
 //! table slot reachable by exactly one worker per launch. With
 //! `--features race-check`, every `GpuBuffer` access inside a checked
 //! launch is logged as `(worker, slot-range, read|write)` and the launch
