@@ -786,26 +786,22 @@ impl<B: ServiceBackend> WorkerConfig<B> {
                 keys.push(p.key);
                 run.push(p);
             }
-            // Mutation runs advance the cache epoch *before* any later
-            // query run in this same flush resolves, so a verdict cached
-            // under the pre-mutation backend can never answer a query
-            // sequenced after the mutation.
+            // Mutation runs advance the cache epoch after their backend
+            // call and before their first answer: before any later query
+            // run in this same flush resolves, so a verdict cached under
+            // the pre-mutation backend can never answer a query sequenced
+            // after the mutation, and before a woken caller reads the
+            // stats.
             match kind {
-                OpKind::Insert => {
-                    self.flush_inserts(keys, run.drain(..));
-                    self.invalidate_cache();
-                }
+                OpKind::Insert => self.flush_inserts(keys, run.drain(..)),
                 OpKind::Query => self.flush_queries(keys, run.drain(..), q),
-                _ => {
-                    self.flush_deletes(keys, run.drain(..));
-                    self.invalidate_cache();
-                }
+                _ => self.flush_deletes(keys, run.drain(..)),
             }
         }
     }
 
     /// Bump the hot-key cache's mutation epoch (when one is armed) after
-    /// an insert or delete run touched the backend.
+    /// an insert or delete run touched the backend, before its answers.
     fn invalidate_cache(&self) {
         if let Some(cache) = &self.cache {
             cache.invalidate();
@@ -827,6 +823,7 @@ impl<B: ServiceBackend> WorkerConfig<B> {
         if !wants_answers && !auto_growth {
             let t0 = Instant::now();
             let failed = self.backend().bulk_insert(keys).unwrap_or(keys.len());
+            self.invalidate_cache();
             self.stats.record_flush(keys.len(), t0.elapsed());
             if failed > 0 {
                 self.stats.insert_failures.fetch_add(failed as u64, Ordering::Relaxed);
@@ -841,27 +838,24 @@ impl<B: ServiceBackend> WorkerConfig<B> {
         // policy, retried across grows until they land.
         let mut outcomes = vec![InsertOutcome::Inserted; keys.len()];
         let t0 = Instant::now();
+        // A grow in `settle_inserts` takes the write lock, so the read
+        // guard of this call must be gone first.
         let result = self.backend().bulk_insert_report(keys, &mut outcomes);
-        match result {
-            Ok(()) => {
-                let failed = self.settle_inserts(keys, &mut outcomes);
-                self.stats.record_flush(keys.len(), t0.elapsed());
-                if failed > 0 {
-                    self.stats.insert_failures.fetch_add(failed as u64, Ordering::Relaxed);
-                }
-                for (p, outcome) in run.zip(outcomes) {
-                    self.record_latency(&p);
-                    p.answer(outcome.inserted());
-                }
-            }
+        let failed = match result {
+            Ok(()) => self.settle_inserts(keys, &mut outcomes),
             Err(_) => {
-                self.stats.record_flush(keys.len(), t0.elapsed());
-                self.stats.insert_failures.fetch_add(keys.len() as u64, Ordering::Relaxed);
-                for p in run {
-                    self.record_latency(&p);
-                    p.answer(false);
-                }
+                outcomes.fill(InsertOutcome::Failed);
+                keys.len()
             }
+        };
+        self.invalidate_cache();
+        self.stats.record_flush(keys.len(), t0.elapsed());
+        if failed > 0 {
+            self.stats.insert_failures.fetch_add(failed as u64, Ordering::Relaxed);
+        }
+        for (p, outcome) in run.zip(outcomes) {
+            self.record_latency(&p);
+            p.answer(outcome.inserted());
         }
     }
 
@@ -993,6 +987,7 @@ impl<B: ServiceBackend> WorkerConfig<B> {
             if (hooks.aggregate)(&self.backend(), keys).is_err() {
                 self.stats.delete_failures.fetch_add(keys.len() as u64, Ordering::Relaxed);
             }
+            self.invalidate_cache();
             self.stats.record_flush(keys.len(), t0.elapsed());
             for p in run {
                 self.record_latency(&p);
@@ -1006,6 +1001,7 @@ impl<B: ServiceBackend> WorkerConfig<B> {
         let mut outcomes = vec![DeleteOutcome::NotFound; keys.len()];
         let t0 = Instant::now();
         let deleted = (hooks.report)(&self.backend(), keys, &mut outcomes);
+        self.invalidate_cache();
         self.stats.record_flush(keys.len(), t0.elapsed());
         if deleted.is_err() {
             // The backend refused the whole batch: nothing was removed.
@@ -1757,6 +1753,31 @@ mod async_tests {
         let after = h.query_batch(&probe).unwrap();
         assert!(after.iter().all(|&hit| !hit), "stale verdicts must die with the epoch");
         assert!(svc.stats().cache_invalidations > s.cache_invalidations);
+    }
+
+    #[test]
+    fn a_mutation_answer_sees_its_epoch_bump() {
+        // The callback fires inside the run's last answer, so it reads
+        // the stats exactly when a woken blocking caller could.
+        let svc = ShardedFilterBuilder::new()
+            .shards(1)
+            .query_cache(1 << 10)
+            .build_deletable(|_| BulkTcf::new(1 << 12))
+            .unwrap();
+        let (h, ctl) = (svc.handle(), svc.control());
+        let keys = filter_core::hashed_keys(31, 40);
+        for op in [OpKind::Insert, OpKind::Delete] {
+            let before = ctl.stats().cache_invalidations;
+            let (tx, rx) = mpsc::channel();
+            let seen = ctl.clone();
+            h.submit_batch(op, &keys, move |r| {
+                tx.send((r, seen.stats().cache_invalidations)).unwrap();
+            })
+            .unwrap();
+            let (r, seen) = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+            assert!(r.results.iter().all(|&ok| ok), "{op:?}: every key must land");
+            assert!(seen > before, "{op:?}: answered before the epoch bump ({seen} <= {before})");
+        }
     }
 
     #[test]

@@ -35,7 +35,6 @@ pub mod memory;
 pub mod metrics;
 pub mod profile;
 pub mod shadow;
-pub mod shared;
 pub mod sort;
 pub mod warp;
 
@@ -43,5 +42,4 @@ pub use exec::{Device, KernelStats};
 pub use memory::{GpuBuffer, SpanView, CACHE_LINE_BYTES, WORDS_PER_LINE};
 pub use metrics::{Counter, Counters};
 pub use profile::DeviceProfile;
-pub use shared::SharedScratch;
 pub use warp::{Cg, WARP_SIZE};

@@ -31,6 +31,10 @@ pub struct GpuBuffer {
     words: Box<[AtomicU64]>,
     elem_bits: u32,
     slots_per_word: usize,
+    /// `log2(slots_per_word)` when that is a power of two (1-bit
+    /// metadata, 8-, 13-, 16-, 32- and 64-bit slots), so [`Self::locate`]
+    /// shifts and masks instead of dividing; `None` for the other widths.
+    word_shift: Option<u32>,
     len: usize,
     /// Identity in the `race-check` shadow logs (0 when the sanitizer is
     /// compiled out; see [`crate::shadow`]).
@@ -50,7 +54,8 @@ impl GpuBuffer {
         let n_words = n_words.div_ceil(WORDS_PER_LINE) * WORDS_PER_LINE;
         let words = (0..n_words.max(WORDS_PER_LINE)).map(|_| AtomicU64::new(0)).collect();
         let shadow_id = crate::shadow::new_buffer_id();
-        GpuBuffer { words, elem_bits, slots_per_word, len, shadow_id }
+        let word_shift = slots_per_word.is_power_of_two().then(|| slots_per_word.trailing_zeros());
+        GpuBuffer { words, elem_bits, slots_per_word, word_shift, len, shadow_id }
     }
 
     /// Number of slots.
@@ -86,13 +91,16 @@ impl GpuBuffer {
         }
     }
 
-    /// (word index, bit offset inside word) of a slot.
+    /// (word index, bit offset inside word) of a slot: a shift and a mask
+    /// when the slots per word are a power of two, else a division.
     #[inline(always)]
     fn locate(&self, slot: usize) -> (usize, u32) {
         debug_assert!(slot < self.len, "slot {slot} out of bounds {}", self.len);
-        let word = slot / self.slots_per_word;
-        let off = (slot % self.slots_per_word) as u32 * self.elem_bits;
-        (word, off)
+        let (word, index) = match self.word_shift {
+            Some(shift) => (slot >> shift, slot & (self.slots_per_word - 1)),
+            None => (slot / self.slots_per_word, slot % self.slots_per_word),
+        };
+        (word, index as u32 * self.elem_bits)
     }
 
     /// Number of atomic transactions a RMW on `slot` costs. Native widths
@@ -717,6 +725,31 @@ mod tests {
         }
         let total: u64 = (0..64).map(|s| buf.read_free(s)).sum();
         assert_eq!(total, 8 * 1000, "no lost updates");
+    }
+
+    #[test]
+    fn shift_and_mask_addressing_equals_division() {
+        for bits in 1..=64u32 {
+            let spw = (64 / bits) as usize;
+            // About 1,000 slots ending in a partial word (a multiple of
+            // the slots per word only when that is 1), sampled every 7
+            // slots and at the last two.
+            let len = 1_000 / spw * spw + spw.div_ceil(2);
+            assert!(spw == 1 || !len.is_multiple_of(spw));
+            let buf = GpuBuffer::new(len, bits);
+            assert_eq!(buf.slots_per_word(), spw);
+            let slots = (0..len).step_by(7).chain([len - 2, len - 1]);
+            for slot in slots {
+                let (word, off) = buf.locate(slot);
+                assert_eq!(word, slot / spw, "bits={bits} slot={slot}");
+                assert_eq!(off, (slot % spw) as u32 * bits, "bits={bits} slot={slot}");
+                assert_eq!(
+                    buf.line_of(slot),
+                    slot / spw / WORDS_PER_LINE,
+                    "bits={bits} slot={slot}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! charges one line load (or store) whenever an access crosses into a
 //! cache line different from the last one it touched, which models the
 //! sequential cluster walks and the custom `memmove` of §5.2 at
-//! cache-line granularity.
+//! cache-line granularity. It counts those charges itself and publishes
+//! them to [`gpu_sim::metrics`] when it drops, so read the counters only
+//! after the operation's cursors are gone.
 //!
 //! The walks ([`prev_clear`], [`next_clear`], [`next_set`], [`rank_set`],
 //! [`next_empty`]) read a 1-bit metadata vector 64 bits per step and
@@ -21,11 +23,15 @@ use gpu_sim::GpuBuffer;
 
 /// A line-granular traffic cursor over one buffer.
 ///
-/// Create one per kernel operation; drop it when the operation ends.
+/// Create one per kernel operation; drop it when the operation ends,
+/// which publishes its line loads and stores.
 pub struct Tracked<'a> {
     buf: &'a GpuBuffer,
     last_read_line: usize,
     last_write_line: usize,
+    /// Lines charged so far, published on drop.
+    loads: u64,
+    stores: u64,
     /// Stores are owner stores ([`GpuBuffer::write_owned`]); see
     /// [`words_are_region_owned`].
     owned: bool,
@@ -48,17 +54,30 @@ impl<'a> Tracked<'a> {
     /// Wrap a buffer.
     pub fn new(buf: &'a GpuBuffer) -> Self {
         let owned = words_are_region_owned(buf);
-        Tracked { buf, last_read_line: NO_LINE, last_write_line: NO_LINE, owned }
+        Tracked {
+            buf,
+            last_read_line: NO_LINE,
+            last_write_line: NO_LINE,
+            loads: 0,
+            stores: 0,
+            owned,
+        }
+    }
+
+    /// Charge a line load when `slot` leaves the cached read line.
+    #[inline]
+    fn charge_read(&mut self, slot: usize) {
+        let line = self.buf.line_of(slot);
+        if line != self.last_read_line {
+            self.loads += 1;
+            self.last_read_line = line;
+        }
     }
 
     /// Read a slot, charging a line load when leaving the cached line.
     #[inline]
     pub fn get(&mut self, slot: usize) -> u64 {
-        let line = self.buf.line_of(slot);
-        if line != self.last_read_line {
-            bump(Counter::LinesLoaded, 1);
-            self.last_read_line = line;
-        }
+        self.charge_read(slot);
         self.buf.read_free(slot)
     }
 
@@ -69,7 +88,7 @@ impl<'a> Tracked<'a> {
     pub fn set(&mut self, slot: usize, value: u64) {
         let line = self.buf.line_of(slot);
         if line != self.last_write_line {
-            bump(Counter::LinesStored, 1);
+            self.stores += 1;
             self.last_write_line = line;
         }
         if self.owned {
@@ -90,11 +109,7 @@ impl<'a> Tracked<'a> {
     /// charging a line load exactly like a slot read on the same line.
     #[inline]
     pub fn get_word(&mut self, slot: usize) -> u64 {
-        let line = self.buf.line_of(slot);
-        if line != self.last_read_line {
-            bump(Counter::LinesLoaded, 1);
-            self.last_read_line = line;
-        }
+        self.charge_read(slot);
         self.buf.read_word_free(slot)
     }
 
@@ -102,6 +117,18 @@ impl<'a> Tracked<'a> {
     #[inline]
     pub fn set_bit(&mut self, slot: usize, value: bool) {
         self.set(slot, value as u64);
+    }
+}
+
+impl Drop for Tracked<'_> {
+    /// Publish the operation's line loads and stores, one bump each.
+    fn drop(&mut self) {
+        if self.loads > 0 {
+            bump(Counter::LinesLoaded, self.loads);
+        }
+        if self.stores > 0 {
+            bump(Counter::LinesStored, self.stores);
+        }
     }
 }
 
@@ -336,6 +363,7 @@ mod tests {
         for i in 0..256 {
             let _ = t.get(i);
         }
+        drop(t);
         let diff = metrics::snapshot_current_thread().since(&before);
         assert_eq!(diff.get(Counter::LinesLoaded), 2);
     }
@@ -349,6 +377,7 @@ mod tests {
         for i in 0..1000 {
             let _ = t.get_bit(i);
         }
+        drop(t);
         let diff = metrics::snapshot_current_thread().since(&before);
         assert_eq!(diff.get(Counter::LinesLoaded), 1);
     }
@@ -360,6 +389,7 @@ mod tests {
         let mut t = Tracked::new(&buf);
         let _ = t.get(0);
         t.set(0, 9);
+        drop(t);
         let diff = metrics::snapshot_current_thread().since(&before);
         assert_eq!(diff.get(Counter::LinesLoaded), 1);
         assert_eq!(diff.get(Counter::LinesStored), 1);
@@ -456,6 +486,7 @@ mod tests {
         for base in (0..1000).step_by(64) {
             let _ = t.get_word(base);
         }
+        drop(t);
         let diff = metrics::snapshot_current_thread().since(&before);
         assert_eq!(diff.get(Counter::LinesLoaded), 1);
     }

@@ -31,7 +31,9 @@
 
 use crate::bits::{self, Metadata, Tracked};
 use crate::layout::Layout;
-use crate::runs::{decode_run, encode_run, merge_entry, remove_entry, total_count, Entry};
+use crate::runs::{
+    decode_run, encode_entry, encode_run, find_entry, replace_entry, total_count, Entry, RunSlots,
+};
 use filter_core::FilterError;
 use gpu_sim::GpuBuffer;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -173,7 +175,7 @@ impl GqfCore {
         cont: &mut Tracked<'_>,
         rem: &mut Tracked<'_>,
         start: usize,
-    ) -> (Vec<u64>, usize) {
+    ) -> (RunSlots, usize) {
         let end = self.run_end(cont, start);
         let vals = (start..=end).map(|i| rem.get(i)).collect();
         (vals, end + 1)
@@ -289,9 +291,9 @@ impl GqfCore {
         if was_occupied {
             let start = self.run_start(&mut cur, q);
             let (old_vals, end_ex) = self.read_run(&mut cur.cont, &mut rem, start);
-            let mut entries = decode_run(&old_vals, self.layout.r_bits);
-            merge_entry(&mut entries, r, delta);
-            let new_vals = encode_run(&entries, self.layout.r_bits);
+            let (at, count) = find_entry(&old_vals, self.layout.r_bits, r);
+            let entry = Entry { remainder: r, count: count.saturating_add(delta) };
+            let new_vals = replace_entry(&old_vals, at, Some(entry), self.layout.r_bits);
             let old_len = end_ex - start;
             if new_vals.len() > old_len {
                 self.open_gap(&mut cur, &mut rem, q, end_ex, new_vals.len() - old_len)?;
@@ -302,8 +304,8 @@ impl GqfCore {
             // New run: find its position among the cluster's runs.
             let start =
                 if self.meta.is_empty_slot(&mut cur, q) { q } else { self.run_start(&mut cur, q) };
-            let entries = [Entry { remainder: r, count: delta }];
-            let new_vals = encode_run(&entries, self.layout.r_bits);
+            let mut new_vals = RunSlots::default();
+            encode_entry(Entry { remainder: r, count: delta }, self.layout.r_bits, &mut new_vals);
             self.open_gap(&mut cur, &mut rem, q, start, new_vals.len())?;
             self.write_run(&mut cur, &mut rem, q, start, &new_vals);
             cur.occ.set_bit(q, true);
@@ -322,8 +324,7 @@ impl GqfCore {
         let mut rem = Tracked::new(&self.remainders);
         let start = self.run_start(&mut cur, q);
         let (vals, _) = self.read_run(&mut cur.cont, &mut rem, start);
-        let entries = decode_run(&vals, self.layout.r_bits);
-        entries.binary_search_by_key(&r, |e| e.remainder).map(|i| entries[i].count).unwrap_or(0)
+        find_entry(&vals, self.layout.r_bits, r).1
     }
 
     /// Collect every run of the cluster starting at `c0`.
@@ -406,8 +407,9 @@ impl GqfCore {
     /// Remove `delta` instances of `(q, r)`. Returns `true` if the
     /// fingerprint was present.
     ///
-    /// Re-encodes only `q`'s run; if the run shrank, `slide_left`
-    /// closes the freed slots. Requires exclusive access to the cluster.
+    /// Re-encodes only `r`'s entry of `q`'s run; if the run shrank,
+    /// `slide_left` closes the freed slots. Requires exclusive access to
+    /// the cluster.
     pub fn delete(&self, q: usize, r: u64, delta: u64) -> Result<bool, FilterError> {
         let mut cur = self.meta.cursor();
         if !cur.occ.get_bit(q) {
@@ -416,23 +418,23 @@ impl GqfCore {
         let mut rem = Tracked::new(&self.remainders);
         let start = self.run_start(&mut cur, q);
         let (old_vals, old_end) = self.read_run(&mut cur.cont, &mut rem, start);
-        let mut entries = decode_run(&old_vals, self.layout.r_bits);
-        let before = total_count(&entries);
-        if !remove_entry(&mut entries, r, delta) {
+        let (at, count) = find_entry(&old_vals, self.layout.r_bits, r);
+        if count == 0 {
             return Ok(false);
         }
-        let removed = before - total_count(&entries);
-        if entries.is_empty() {
+        let left = count.saturating_sub(delta);
+        let entry = (left > 0).then_some(Entry { remainder: r, count: left });
+        let new_vals = replace_entry(&old_vals, at, entry, self.layout.r_bits);
+        if new_vals.is_empty() {
             cur.occ.set_bit(q, false);
         }
-        let new_vals = encode_run(&entries, self.layout.r_bits);
         self.write_run(&mut cur, &mut rem, q, start, &new_vals);
         let freed = old_vals.len() - new_vals.len();
         if freed > 0 {
             self.slide_left(&mut cur, &mut rem, q, start + new_vals.len(), old_end);
             self.used_slots.fetch_sub(freed, Ordering::Relaxed);
         }
-        self.items.fetch_sub(removed as usize, Ordering::Relaxed);
+        self.items.fetch_sub((count - left) as usize, Ordering::Relaxed);
         Ok(true)
     }
 
@@ -513,7 +515,11 @@ impl GqfCore {
             for pair in entries.windows(2) {
                 assert!(pair[0].remainder < pair[1].remainder, "run remainders out of order");
             }
-            assert_eq!(encode_run(&entries, r_bits), vals, "run at {s} is not canonically encoded");
+            assert_eq!(
+                encode_run(&entries, r_bits),
+                &vals[..],
+                "run at {s} is not canonically encoded"
+            );
             items += total_count(&entries);
             used += end - s;
             runs += 1;

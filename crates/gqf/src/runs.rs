@@ -21,6 +21,13 @@
 //! with special cases for 0) by up to two extra slots per *counted* item;
 //! singletons — the common case the space bound cares about — are
 //! identical.
+//!
+//! An entry's encoding depends on that entry alone, so the GQF core
+//! edits one entry of a run in place (`find_entry`, `replace_entry`),
+//! reading and rewriting the run in buffers that stay inline for runs of
+//! typical length.
+
+use std::ops::{Deref, Range};
 
 /// One decoded run entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,10 +38,88 @@ pub struct Entry {
     pub count: u64,
 }
 
+/// Slots a [`RunSlots`] holds without allocating.
+const INLINE_SLOTS: usize = 16;
+
+/// One run's slot values: inline up to [`INLINE_SLOTS`] slots and on the
+/// heap beyond, so an operation on a run of typical length allocates
+/// nothing.
+#[derive(Debug, Default)]
+pub(crate) struct RunSlots {
+    inline: [u64; INLINE_SLOTS],
+    len: usize,
+    /// Every slot once the run outgrows `inline` (`len` is then unused).
+    heap: Vec<u64>,
+}
+
+impl RunSlots {
+    /// Append one slot value.
+    fn push(&mut self, v: u64) {
+        if self.heap.is_empty() && self.len < INLINE_SLOTS {
+            self.inline[self.len] = v;
+            self.len += 1;
+        } else {
+            if self.heap.is_empty() {
+                self.heap.extend_from_slice(&self.inline[..self.len]);
+            }
+            self.heap.push(v);
+        }
+    }
+}
+
+impl Deref for RunSlots {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        if self.heap.is_empty() {
+            &self.inline[..self.len]
+        } else {
+            &self.heap
+        }
+    }
+}
+
+impl Extend<u64> for RunSlots {
+    fn extend<I: IntoIterator<Item = u64>>(&mut self, iter: I) {
+        for v in iter {
+            self.push(v);
+        }
+    }
+}
+
+impl FromIterator<u64> for RunSlots {
+    fn from_iter<I: IntoIterator<Item = u64>>(iter: I) -> Self {
+        let mut slots = RunSlots::default();
+        slots.extend(iter);
+        slots
+    }
+}
+
 /// Digit base at `r` bits (full slot width).
 #[inline]
 fn base(r_bits: u32) -> u128 {
     1u128 << r_bits.min(64)
+}
+
+/// Append one entry's encoding to `out`.
+///
+/// # Panics
+/// If the count is zero.
+pub(crate) fn encode_entry(e: Entry, r_bits: u32, out: &mut impl Extend<u64>) {
+    assert!(e.count >= 1, "zero-count entry");
+    let x = e.remainder;
+    match e.count {
+        1 => out.extend([x]),
+        2 => out.extend([x, x]),
+        c => {
+            // c − 3 in little-endian base-2^r digits, after their count.
+            let b = base(r_bits);
+            let digits = std::iter::successors(Some(u128::from(c - 3)), |&rest| Some(rest / b))
+                .take_while(|&rest| rest > 0);
+            out.extend([x, x, x, digits.clone().count() as u64]);
+            out.extend(digits.map(|rest| (rest % b) as u64));
+        }
+    }
 }
 
 /// Encode a sorted entry list into slot values.
@@ -42,33 +127,38 @@ fn base(r_bits: u32) -> u128 {
 /// # Panics
 /// If entries are not strictly ascending by remainder or a count is zero.
 pub fn encode_run(entries: &[Entry], r_bits: u32) -> Vec<u64> {
-    let b = base(r_bits);
     let mut out = Vec::with_capacity(entries.len() * 2);
     let mut prev: Option<u64> = None;
-    for e in entries {
-        assert!(e.count >= 1, "zero-count entry");
+    for &e in entries {
         if let Some(p) = prev {
             assert!(e.remainder > p, "entries must be strictly ascending");
         }
         prev = Some(e.remainder);
-        let x = e.remainder;
-        match e.count {
-            1 => out.push(x),
-            2 => out.extend_from_slice(&[x, x]),
-            c => {
-                out.extend_from_slice(&[x, x, x]);
-                let mut digits = Vec::new();
-                let mut rest = (c - 3) as u128;
-                while rest > 0 {
-                    digits.push((rest % b) as u64);
-                    rest /= b;
-                }
-                out.push(digits.len() as u64);
-                out.extend_from_slice(&digits);
-            }
-        }
+        encode_entry(e, r_bits, &mut out);
     }
     out
+}
+
+/// The entry whose encoding starts at `slots[i]`, and the index after
+/// that encoding (at most `slots.len()`).
+fn entry_at(slots: &[u64], i: usize, b: u128) -> (Entry, usize) {
+    let n = slots.len();
+    let x = slots[i];
+    if i + 2 < n && slots[i + 1] == x && slots[i + 2] == x {
+        // Counter group: [x, x, x, L, digits…].
+        let l = if i + 3 < n { slots[i + 3] as usize } else { 0 };
+        let l = l.min(n.saturating_sub(i + 4));
+        let mut c = 0u128;
+        for k in (0..l).rev() {
+            c = c * b + slots[i + 4 + k] as u128;
+        }
+        let count = 3u64.saturating_add(c.min(u64::MAX as u128 - 3) as u64);
+        (Entry { remainder: x, count }, (i + 4 + l).min(n))
+    } else if i + 1 < n && slots[i + 1] == x {
+        (Entry { remainder: x, count: 2 }, i + 2)
+    } else {
+        (Entry { remainder: x, count: 1 }, i + 1)
+    }
 }
 
 /// Decode a run's slot values back into entries. A well-formed encoding
@@ -77,29 +167,49 @@ pub fn decode_run(slots: &[u64], r_bits: u32) -> Vec<Entry> {
     let b = base(r_bits);
     let mut entries = Vec::new();
     let mut i = 0usize;
-    let n = slots.len();
-    while i < n {
-        let x = slots[i];
-        if i + 2 < n && slots[i + 1] == x && slots[i + 2] == x {
-            // Counter group: [x, x, x, L, digits…].
-            let l = if i + 3 < n { slots[i + 3] as usize } else { 0 };
-            let l = l.min(n.saturating_sub(i + 4));
-            let mut c = 0u128;
-            for k in (0..l).rev() {
-                c = c * b + slots[i + 4 + k] as u128;
-            }
-            let count = 3u64.saturating_add(c.min(u64::MAX as u128 - 3) as u64);
-            entries.push(Entry { remainder: x, count });
-            i += 4 + l;
-        } else if i + 1 < n && slots[i + 1] == x {
-            entries.push(Entry { remainder: x, count: 2 });
-            i += 2;
-        } else {
-            entries.push(Entry { remainder: x, count: 1 });
-            i += 1;
-        }
+    while i < slots.len() {
+        let (e, next) = entry_at(slots, i, b);
+        entries.push(e);
+        i = next;
     }
     entries
+}
+
+/// Find `remainder` in the encoded run `slots` without decoding the rest:
+/// its entry's slot range and count, or, when absent, the empty range
+/// where its encoding belongs (before the first larger remainder) and 0.
+pub(crate) fn find_entry(slots: &[u64], r_bits: u32, remainder: u64) -> (Range<usize>, u64) {
+    let b = base(r_bits);
+    let mut i = 0usize;
+    while i < slots.len() {
+        let (e, next) = entry_at(slots, i, b);
+        if e.remainder == remainder {
+            return (i..next, e.count);
+        }
+        if e.remainder > remainder {
+            break;
+        }
+        i = next;
+    }
+    (i..i, 0)
+}
+
+/// The run `slots` with the slot range `at` (as [`find_entry`] gives it)
+/// re-encoded as `entry`, or dropped when `entry` is `None`. Every other
+/// entry keeps its encoding, so on a well-formed run this equals decoding,
+/// editing the entry list and re-encoding it.
+pub(crate) fn replace_entry(
+    slots: &[u64],
+    at: Range<usize>,
+    entry: Option<Entry>,
+    r_bits: u32,
+) -> RunSlots {
+    let mut out: RunSlots = slots[..at.start].iter().copied().collect();
+    if let Some(e) = entry {
+        encode_entry(e, r_bits, &mut out);
+    }
+    out.extend(slots[at.end..].iter().copied());
+    out
 }
 
 /// Total count across entries.
@@ -107,34 +217,37 @@ pub fn total_count(entries: &[Entry]) -> u64 {
     entries.iter().map(|e| e.count).sum()
 }
 
-/// Merge `(remainder, delta)` into a sorted entry list (insert or bump).
-pub fn merge_entry(entries: &mut Vec<Entry>, remainder: u64, delta: u64) {
-    match entries.binary_search_by_key(&remainder, |e| e.remainder) {
-        Ok(i) => entries[i].count = entries[i].count.saturating_add(delta),
-        Err(i) => entries.insert(i, Entry { remainder, count: delta }),
-    }
-}
-
-/// Remove `delta` instances of `remainder`; returns `true` if the
-/// remainder was present. Removes the entry entirely when its count
-/// reaches zero.
-pub fn remove_entry(entries: &mut Vec<Entry>, remainder: u64, delta: u64) -> bool {
-    match entries.binary_search_by_key(&remainder, |e| e.remainder) {
-        Ok(i) => {
-            if entries[i].count <= delta {
-                entries.remove(i);
-            } else {
-                entries[i].count -= delta;
-            }
-            true
-        }
-        Err(_) => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // The entry-list edits the GQF core once ran on every decoded run:
+    // the reference `find_entry` + `replace_entry` must agree with.
+
+    /// Merge `(remainder, delta)` into a sorted entry list (insert or bump).
+    fn merge_entry(entries: &mut Vec<Entry>, remainder: u64, delta: u64) {
+        match entries.binary_search_by_key(&remainder, |e| e.remainder) {
+            Ok(i) => entries[i].count = entries[i].count.saturating_add(delta),
+            Err(i) => entries.insert(i, Entry { remainder, count: delta }),
+        }
+    }
+
+    /// Remove `delta` instances of `remainder`; returns `true` if the
+    /// remainder was present. Removes the entry entirely when its count
+    /// reaches zero.
+    fn remove_entry(entries: &mut Vec<Entry>, remainder: u64, delta: u64) -> bool {
+        match entries.binary_search_by_key(&remainder, |e| e.remainder) {
+            Ok(i) => {
+                if entries[i].count <= delta {
+                    entries.remove(i);
+                } else {
+                    entries[i].count -= delta;
+                }
+                true
+            }
+            Err(_) => false,
+        }
+    }
 
     fn roundtrip(entries: &[Entry], r_bits: u32) {
         let encoded = encode_run(entries, r_bits);
@@ -234,6 +347,53 @@ mod tests {
     fn unsorted_entries_panic() {
         let _ =
             encode_run(&[Entry { remainder: 9, count: 1 }, Entry { remainder: 3, count: 1 }], 8);
+    }
+
+    #[test]
+    fn in_place_edits_match_entry_list_edits() {
+        // Runs of up to two entries with remainders below 6 and counts
+        // from 1 to 40 (two 4-bit counter digits), edited at every
+        // remainder below 7 by upserts and deletes of 1, 2 and 9.
+        let mut runs = vec![vec![]];
+        for r1 in 0..6u64 {
+            for c1 in [1u64, 2, 3, 7, 40] {
+                runs.push(vec![Entry { remainder: r1, count: c1 }]);
+                for r2 in r1 + 1..6 {
+                    for c2 in [1u64, 4] {
+                        runs.push(vec![
+                            Entry { remainder: r1, count: c1 },
+                            Entry { remainder: r2, count: c2 },
+                        ]);
+                    }
+                }
+            }
+        }
+        for entries in runs {
+            let slots = encode_run(&entries, 4);
+            for r in 0..7u64 {
+                let (at, count) = find_entry(&slots, 4, r);
+                let want = entries.iter().find(|e| e.remainder == r).map_or(0, |e| e.count);
+                assert_eq!(count, want, "{entries:?} r={r}");
+                for delta in [1u64, 2, 9] {
+                    let mut merged = entries.clone();
+                    merge_entry(&mut merged, r, delta);
+                    let entry = Entry { remainder: r, count: count + delta };
+                    let upserted = replace_entry(&slots, at.clone(), Some(entry), 4);
+                    assert_eq!(&upserted[..], encode_run(&merged, 4), "{entries:?} +{delta}@{r}");
+                    let mut pruned = entries.clone();
+                    if remove_entry(&mut pruned, r, delta) {
+                        let left = count.saturating_sub(delta);
+                        let entry = (left > 0).then_some(Entry { remainder: r, count: left });
+                        let deleted = replace_entry(&slots, at.clone(), entry, 4);
+                        assert_eq!(
+                            &deleted[..],
+                            encode_run(&pruned, 4),
+                            "{entries:?} -{delta}@{r}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -35,8 +35,9 @@ use filter_core::fingerprint::EMPTY;
 use filter_core::{
     ApiMode, DeleteOutcome, Features, FilterError, FilterMeta, FilterSpec, InsertOutcome, Operation,
 };
-use gpu_sim::{Device, GpuBuffer, SharedScratch, SpanView};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use gpu_sim::metrics::{bump, Counter};
+use gpu_sim::{Device, GpuBuffer, SpanView};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 
 /// A bulk-API two-choice filter.
 ///
@@ -329,19 +330,30 @@ impl BulkTcf {
 
     /// One placement pass: each target block takes its items, in batch
     /// order, up to `fill_cap` live slots, with their values from `pairs`
-    /// (0 for a plain batch). Returns the items it could not place.
+    /// (0 for a plain batch). With `fills`, each target block's fill when
+    /// the pass is done with it is recorded there (never 0: a staged
+    /// block keeps or gains at least one item). Returns the items it could
+    /// not place.
     fn placement_pass(
         &self,
         items: Vec<Item>,
         fill_cap: usize,
         pairs: Option<&[(u64, u64)]>,
+        fills: Option<&[AtomicU8]>,
     ) -> Vec<Item> {
         let b = self.cfg.block_slots;
         let placed = self.block_pass(
             items.len(),
             |i| items[i].block,
             |view, start, live, group, placed| {
+                // A fill fits a byte: blocks hold at most 128 slots.
+                let record = |fill: usize| {
+                    if let Some(fills) = fills {
+                        fills[group[0].0 as usize].store(fill as u8, Ordering::Relaxed);
+                    }
+                };
                 if live >= fill_cap {
+                    record(live);
                     return;
                 }
                 let take = (fill_cap - live).min(group.len());
@@ -349,7 +361,6 @@ impl BulkTcf {
 
                 // Gather + sort the incoming fingerprints in shared memory;
                 // values travel with their fingerprint through the sort.
-                let mut scratch = SharedScratch::new(take);
                 let mut incoming: Vec<(u64, u64)> = group[..take]
                     .iter()
                     .map(|&(_, i)| {
@@ -358,15 +369,15 @@ impl BulkTcf {
                     })
                     .collect();
                 incoming.sort_unstable();
-                for (j, &(fp, _)) in incoming.iter().enumerate() {
-                    scratch.write(j, fp);
-                }
-                scratch.charge((take as f64 * (take.max(2) as f64).log2()) as u64);
 
                 // Zip-merge (the three-list parallel zip of §4.2 collapses to
                 // two lists per pass here), then write the whole block back.
                 entries.merge(incoming.into_iter());
-                scratch.charge(entries.fps.len() as u64);
+                record(entries.fps.len());
+                // Shared-memory work, charged once: the gather's writes,
+                // the sort and the merge.
+                let sort = (take as f64 * (take.max(2) as f64).log2()) as u64;
+                bump(Counter::SharedOps, take as u64 + sort + entries.fps.len() as u64);
                 entries.store(&self.table, self.values.as_ref(), start, b);
                 for &(_, i) in &group[..take] {
                     placed.set(i as usize);
@@ -700,26 +711,32 @@ impl BulkTcf {
         let b = self.cfg.block_slots;
         let n = items.len();
         // Pass 1 — shortcut: the primary block (the hash phase's target)
-        // up to the shortcut threshold.
+        // up to the shortcut threshold. It records the fill of every
+        // block it stages (0: not staged).
         let cap1 = ((b as f64) * self.cfg.shortcut_fill).floor() as usize;
-        let left = self.placement_pass(items, cap1.max(1), pairs);
+        let fills: Vec<AtomicU8> = (0..self.n_blocks).map(|_| AtomicU8::new(0)).collect();
+        let left = self.placement_pass(items, cap1.max(1), pairs, Some(&fills));
 
         // Pass 2 — POTC: the less-full of the two blocks, to capacity.
-        // The fill inspection only reads block prefixes pass 1 already
-        // finalized, so it parallelizes over the leftover items.
-        let fill = |block| self.stage(block, |_, _, live| live);
+        // Block fills are final after pass 1, so the inspection reads pass
+        // 1's record, stages only the blocks pass 1 did not, and
+        // parallelizes over the leftover items.
+        let fill = |block: usize| match fills[block].load(Ordering::Relaxed) {
+            0 => self.stage(block, |_, _, live| live),
+            recorded => usize::from(recorded),
+        };
         let left = self.device.par_map(left.len(), |i| {
             let (p, s) = self.blocks_of(left[i].key);
             Item { block: if fill(s) < fill(p) { s } else { p }, ..left[i] }
         });
-        let left = self.placement_pass(left, b, pairs);
+        let left = self.placement_pass(left, b, pairs, None);
 
         // Pass 3 — spill: the block pass 2 did not target.
         let left = self.device.par_map(left.len(), |i| {
             let (p, s) = self.blocks_of(left[i].key);
             Item { block: if left[i].block == p { s } else { p }, ..left[i] }
         });
-        let left = self.placement_pass(left, b, pairs);
+        let left = self.placement_pass(left, b, pairs, None);
 
         // Final spill — backing table (valued items fail instead: backing
         // slots cannot carry values).

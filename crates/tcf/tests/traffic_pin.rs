@@ -41,10 +41,12 @@ fn filter() -> BulkTcf {
 fn bulk_tcf_traffic_is_pinned() {
     let mut f = filter();
     // 15,000 keys (92% load) in one batch: the late keys of full blocks
-    // reach passes 2 and 3, and 28 spill to the backing table.
+    // reach passes 2 and 3, and 28 spill to the backing table. Pass 2
+    // stages only the blocks pass 1 did not, so inserts load fewer lines
+    // than the two stagings per leftover they once did.
     let plain = hashed_keys(101, 15_000);
     assert_eq!(
-        pinned("plain insert", [48647, 19848, 28, 142727, 3, 343], || f.insert_batch(&plain)),
+        pinned("plain insert", [37747, 19848, 28, 142727, 3, 343], || f.insert_batch(&plain)),
         0
     );
     assert_eq!(f.backing_occupancy(), 28);
@@ -53,7 +55,7 @@ fn bulk_tcf_traffic_is_pinned() {
     // place fails instead of spilling, because backing slots hold no value.
     let valued: Vec<(u64, u64)> = hashed_keys(102, 600).into_iter().map(|k| (k, k >> 32)).collect();
     assert_eq!(
-        pinned("valued insert", [5808, 1868, 0, 14843, 3, 260], || f.insert_values_batch(&valued)),
+        pinned("valued insert", [3418, 1868, 0, 14843, 3, 260], || f.insert_values_batch(&valued)),
         26
     );
     assert_eq!(f.backing_occupancy(), 28);
