@@ -166,13 +166,6 @@ impl BulkFilter for BlockedBloomFilter {
         Ok(())
     }
 
-    fn bulk_insert(&self, keys: &[u64]) -> Result<usize, FilterError> {
-        for &k in keys {
-            self.insert(k)?;
-        }
-        Ok(0)
-    }
-
     fn bulk_query(&self, keys: &[u64], out: &mut [bool]) {
         for (o, &k) in out.iter_mut().zip(keys) {
             *o = self.contains(k);

@@ -24,7 +24,7 @@ use filter_core::{
 };
 use gpu_sim::Device;
 use gqf::{BulkGqf, GqfCore};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Geil et al.'s GPU rank-select quotient filter.
 pub struct Rsqf {
@@ -60,25 +60,8 @@ impl Rsqf {
         self.gqf.core()
     }
 
-    /// The unoptimized insert path: the whole batch on one device thread.
-    pub fn insert_batch(&self, keys: &[u64]) -> usize {
-        let core = self.gqf.core();
-        let l = *core.layout();
-        let failures = AtomicUsize::new(0);
-        let failures_ref = &failures;
-        self.gqf.device().launch_regions(1, |_| {
-            for &k in keys {
-                let (q, r) = l.split(filter_core::hash64(k));
-                if core.upsert(q, r, 1).is_err() {
-                    failures_ref.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        });
-        failures.load(Ordering::Relaxed)
-    }
-
-    /// The unoptimized insert path with per-key outcomes: `out[i]`
-    /// answers `keys[i]`. Still one device thread for the whole batch.
+    /// The unoptimized insert path, with per-key outcomes: the whole
+    /// batch on one device thread; `out[i]` answers `keys[i]`.
     pub fn insert_batch_report(&self, keys: &[u64], out: &mut [InsertOutcome]) {
         assert_eq!(keys.len(), out.len());
         out.fill(InsertOutcome::Inserted);
@@ -166,10 +149,6 @@ impl BulkFilter for Rsqf {
         Ok(())
     }
 
-    fn bulk_insert(&self, keys: &[u64]) -> Result<usize, FilterError> {
-        Ok(self.insert_batch(keys))
-    }
-
     fn bulk_query(&self, keys: &[u64], out: &mut [bool]) {
         self.query_batch(keys, out)
     }
@@ -197,7 +176,7 @@ mod tests {
     fn insert_query_roundtrip() {
         let f = Rsqf::new(13, 5, Device::cori()).unwrap();
         let keys = hashed_keys(91, 4000);
-        assert_eq!(f.insert_batch(&keys), 0);
+        assert_eq!(f.bulk_insert(&keys).unwrap(), 0);
         let mut out = vec![false; keys.len()];
         f.query_batch(&keys, &mut out);
         assert!(out.iter().all(|&x| x));
@@ -221,7 +200,7 @@ mod tests {
     fn grow_and_merge_preserve_membership() {
         let mut f = Rsqf::new(13, 5, Device::cori()).unwrap();
         let keys = hashed_keys(92, 4000);
-        assert_eq!(f.insert_batch(&keys), 0);
+        assert_eq!(f.bulk_insert(&keys).unwrap(), 0);
         f.grow(2).unwrap();
         assert_eq!(f.core().layout().q_bits, 14);
         let mut out = vec![false; keys.len()];
@@ -230,7 +209,7 @@ mod tests {
 
         let mut other = Rsqf::new(13, 5, Device::cori()).unwrap();
         let more = hashed_keys(93, 2000);
-        assert_eq!(other.insert_batch(&more), 0);
+        assert_eq!(other.bulk_insert(&more).unwrap(), 0);
         other.grow(2).unwrap();
         f.merge(&other).unwrap();
         let mut out = vec![false; more.len()];

@@ -27,7 +27,7 @@ use filter_core::{
 };
 use gpu_sim::Device;
 use gqf::{BulkGqf, GqfCore};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// The SQF's two supported remainder widths.
 pub const SUPPORTED_R_BITS: [u32; 2] = [5, 13];
@@ -162,29 +162,10 @@ impl Sqf {
         }
     }
 
-    /// Bulk delete — one device thread deletes every item in batch order,
-    /// unsorted. That serialization, not the per-item delete (the GQF
-    /// core's local left slide), is the SQF's Fig. 6 deletion collapse.
-    pub fn delete_batch(&self, keys: &[u64]) -> usize {
-        let core = self.gqf.core();
-        let l = *core.layout();
-        let missing = AtomicUsize::new(0);
-        let missing_ref = &missing;
-        // One device thread owns the whole delete batch.
-        self.gqf.device().launch_regions(1, |_| {
-            for &k in keys {
-                let (q, r) = l.split(filter_core::hash64(k));
-                if !matches!(core.delete(q, r, 1), Ok(true)) {
-                    missing_ref.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        });
-        missing.load(Ordering::Relaxed)
-    }
-
     /// Bulk delete with per-key outcomes: `out[i]` answers `keys[i]`.
-    /// Serialized like [`Self::delete_batch`] — the Fig. 6 collapse — but
-    /// attributable.
+    /// One device thread deletes every item in batch order, unsorted.
+    /// That serialization, not the per-item delete (the GQF core's local
+    /// left slide), is the SQF's Fig. 6 deletion collapse.
     pub fn delete_batch_report(&self, keys: &[u64], out: &mut [DeleteOutcome]) {
         assert_eq!(keys.len(), out.len());
         let core = self.gqf.core();
@@ -274,10 +255,6 @@ impl BulkDeletable for Sqf {
         self.delete_batch_report(keys, out);
         Ok(())
     }
-
-    fn bulk_delete(&self, keys: &[u64]) -> Result<usize, FilterError> {
-        Ok(self.delete_batch(keys))
-    }
 }
 
 impl filter_core::DynFilter for Sqf {
@@ -342,7 +319,7 @@ mod tests {
         let f = sqf(13);
         let keys = hashed_keys(83, 2000);
         f.insert_batch(&keys);
-        assert_eq!(f.delete_batch(&keys), 0);
+        assert_eq!(f.bulk_delete(&keys).unwrap(), 0);
         assert_eq!(f.core().items(), 0);
         f.core().check_invariants();
     }

@@ -3,7 +3,7 @@
 //! semantics, and the SQF/RSQF's published configuration limits.
 
 use baselines::{BloomFilter, CountingBloomFilter, CuckooFilter, Rsqf, Sqf};
-use filter_core::{Counting, Deletable, Filter};
+use filter_core::{BulkFilter, Counting, Deletable, Filter};
 use gpu_sim::Device;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -116,7 +116,7 @@ proptest! {
     #[test]
     fn rsqf_no_false_negatives(keys in vec(any::<u64>(), 1..300)) {
         let f = Rsqf::new(12, 5, Device::cori()).unwrap();
-        prop_assert_eq!(f.insert_batch(&keys), 0);
+        prop_assert_eq!(f.bulk_insert(&keys).unwrap(), 0);
         let mut out = vec![false; keys.len()];
         f.query_batch(&keys, &mut out);
         for (i, &hit) in out.iter().enumerate() {

@@ -189,31 +189,15 @@ pub trait BulkDeletable: BulkFilter {
 }
 
 /// Everything a serving layer (the `filter-service` crate) needs from a
-/// filter backend, tying the [`Filter`]-style point surface and the
-/// [`BulkFilter`] batch surface together.
+/// filter backend: the [`BulkFilter`] batch surface, on a type that can
+/// move to a shard worker thread.
 ///
-/// Blanket-implemented for every thread-crossing [`BulkFilter`]: a backend
-/// only has to provide batches, and the point operations come for free as
-/// batches of one. This is the inverse of the paper's observation that bulk
-/// APIs amortize what point APIs pay per call (§4.2, §5.3) — a serving
-/// layer aggregates point traffic *back into* batches, so the only surface
-/// it fundamentally needs is the bulk one.
-pub trait ServiceBackend: BulkFilter + Send {
-    /// Insert one item through the bulk path (a batch of one).
-    fn point_insert(&self, key: u64) -> Result<(), FilterError> {
-        match self.bulk_insert(std::slice::from_ref(&key))? {
-            0 => Ok(()),
-            _ => Err(FilterError::Full),
-        }
-    }
-
-    /// Query one item through the bulk path (a batch of one).
-    fn point_contains(&self, key: u64) -> bool {
-        let mut out = [false];
-        self.bulk_query(std::slice::from_ref(&key), &mut out);
-        out[0]
-    }
-}
+/// Blanket-implemented for every thread-crossing [`BulkFilter`]. This is
+/// the inverse of the paper's observation that bulk APIs amortize what
+/// point APIs pay per call (§4.2, §5.3) — a serving layer aggregates point
+/// traffic *back into* batches, so the only surface it needs is the bulk
+/// one.
+pub trait ServiceBackend: BulkFilter + Send {}
 
 impl<T: BulkFilter + Send + ?Sized> ServiceBackend for T {}
 

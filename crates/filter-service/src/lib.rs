@@ -64,14 +64,13 @@
 //!
 //! Real query streams are skewed — a few hot keys dominate — and the
 //! worker exploits that twice on the flush path, both times *behind* the
-//! backend's bulk API so per-key outcomes are bit-identical with the
-//! fast path on or off (enforced by `tests/skew_oracle.rs`):
+//! backend's bulk API so every per-key verdict equals a plain backend
+//! probe (enforced by `tests/skew_oracle.rs`):
 //!
-//! * **In-batch coalescing** ([`ShardedFilterBuilder::coalesce_queries`],
-//!   on by default): duplicate keys inside one query run are probed
-//!   once and the verdict fanned back to every slot. Queries only —
-//!   duplicate inserts/deletes have multiset semantics on counting
-//!   backends and are never coalesced.
+//! * **In-batch coalescing** (every query flush): duplicate keys inside
+//!   one query run are probed once and the verdict fanned back to every
+//!   slot. Queries only — duplicate inserts/deletes have multiset
+//!   semantics on counting backends and are never coalesced.
 //! * **Hot-key query cache** ([`ShardedFilterBuilder::query_cache`],
 //!   off by default): a small per-shard set-associative cache of query
 //!   verdicts, invalidated in O(1) by a per-shard epoch that every
@@ -87,7 +86,6 @@
 //! let service = ShardedFilterBuilder::new()
 //!     .shards(4)
 //!     .query_cache(1 << 14)       // arm the per-shard verdict cache
-//!     .coalesce_queries(true)     // default; off = pre-coalescing path
 //!     .build(|_| tcf::BulkTcf::new(1 << 14))?;
 //! let h = service.handle();
 //! h.insert_batch(&[1, 2, 3])?;

@@ -24,9 +24,10 @@
 //! * **blocking** — `insert` / `contains` / `remove` / `*_batch` park the
 //!   caller until the flush containing their operations completes; many
 //!   concurrent callers naturally fill batches.
-//! * **pipeline** — `insert_pipelined` / `*_batch_pipelined` enqueue and
-//!   return; `barrier()` waits for everything already enqueued. Streaming
-//!   workloads use this to keep every shard busy from one thread.
+//! * **pipeline** — `insert_batch_pipelined` / `delete_batch_pipelined`
+//!   enqueue and return; `barrier()` waits for everything already
+//!   enqueued. Streaming workloads use this to keep every shard busy from
+//!   one thread.
 //! * **callback** — `submit_batch` enqueues and returns; a callback
 //!   receives the per-key answers (the network reactor's path).
 //!
@@ -232,31 +233,13 @@ impl Task {
     }
 }
 
-/// Per-backend bulk-delete hooks, captured at build time so delete
-/// support is a monomorphized capability rather than a trait-object
-/// downcast. The report hook (`out[i]` answers `keys[i]`) serves blocking
-/// callers — their answers come from the delete itself, no pre-query
-/// round trip — while the aggregate hook keeps ack-free pipelined flushes
-/// on the cheaper plain-sort path.
-/// Signature of the per-key report hook.
+/// The backend's per-key bulk delete (`out[i]` answers `keys[i]`),
+/// captured at build time so delete support is a monomorphized capability
+/// rather than a trait-object downcast.
 type DeleteReportFn<B> = fn(&B, &[u64], &mut [DeleteOutcome]) -> Result<(), FilterError>;
 
-struct DeleteHooks<B> {
-    report: DeleteReportFn<B>,
-    aggregate: fn(&B, &[u64]) -> Result<usize, FilterError>,
-}
-
-// Manual impls: the fields are plain fn pointers, so the hooks are Copy
-// for every `B` (a derive would demand `B: Copy`).
-impl<B> Clone for DeleteHooks<B> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<B> Copy for DeleteHooks<B> {}
-
 /// Per-backend capacity-lifecycle hooks, captured at build time like
-/// [`DeleteHooks`] so maintenance is a monomorphized capability. `auto`
+/// [`DeleteReportFn`] so maintenance is a monomorphized capability. `auto`
 /// carries the [`GrowthPolicy::Auto`] parameters when shard workers
 /// should grow their backend on load/failure; the grow/merge hooks also
 /// serve [`ShardedFilter::set_shards`] regardless of policy.
@@ -301,7 +284,6 @@ pub struct ShardedFilterBuilder {
     weights: Option<Vec<f64>>,
     parallelism: Parallelism,
     growth: GrowthPolicy,
-    coalesce: bool,
     cache_entries: usize,
 }
 
@@ -317,7 +299,6 @@ impl Default for ShardedFilterBuilder {
             weights: None,
             parallelism: Parallelism::Auto,
             growth: GrowthPolicy::Fixed,
-            coalesce: true,
             cache_entries: 0,
         }
     }
@@ -414,22 +395,10 @@ impl ShardedFilterBuilder {
         self
     }
 
-    /// Toggle in-batch duplicate coalescing for query flushes (default
-    /// on). When on, a worker sort-dedups each query run's keys, probes
-    /// every distinct key exactly once, and fans the verdicts back to the
-    /// original slots — on skewed (Zipf-like) key popularity most backend
-    /// probes are duplicates, so this removes the bulk of the flush work.
-    /// Only query runs coalesce: duplicate inserts and deletes carry
-    /// multiset semantics on counting backends (each copy is a distinct
-    /// fingerprint occurrence), so mutation runs always execute key by
-    /// key and per-key outcomes are bit-identical either way.
-    pub fn coalesce_queries(mut self, on: bool) -> Self {
-        self.coalesce = on;
-        self
-    }
-
     /// Arm a per-shard hot-key query cache of roughly `entries` verdict
-    /// lines (default 0 = no cache). Cached verdicts are invalidated in
+    /// lines (default 0 = no cache). Every query flush sort-dedups its
+    /// run first, and the cache answers distinct keys before the backend
+    /// probes the misses. Cached verdicts are invalidated in
     /// O(1) by a per-shard mutation epoch — any insert/delete flush bumps
     /// it, and lookups ignore entries from older epochs — so a stale
     /// entry can cost a redundant backend probe but never a wrong answer
@@ -485,7 +454,7 @@ impl ShardedFilterBuilder {
         B: ServiceBackend + filter_core::BulkDeletable + 'static,
         F: FnMut(usize) -> Result<B, FilterError>,
     {
-        self.build_inner(make, Some(DeleteHooks::new()), None)
+        self.build_inner(make, Some(B::bulk_delete_report), None)
     }
 
     /// Build over a backend with the capacity lifecycle
@@ -511,13 +480,13 @@ impl ShardedFilterBuilder {
         F: FnMut(usize) -> Result<B, FilterError>,
     {
         let hooks = MaintainHooks::for_policy(self.growth);
-        self.build_inner(make, Some(DeleteHooks::new()), Some(hooks))
+        self.build_inner(make, Some(B::bulk_delete_report), Some(hooks))
     }
 
     fn build_inner<B, F>(
         self,
         mut make: F,
-        delete_fn: Option<DeleteHooks<B>>,
+        delete_fn: Option<DeleteReportFn<B>>,
         maintain: Option<MaintainHooks<B>>,
     ) -> Result<ShardedFilter<B>, FilterError>
     where
@@ -550,15 +519,6 @@ impl ShardedFilterBuilder {
     }
 }
 
-impl<B: ServiceBackend + filter_core::BulkDeletable> DeleteHooks<B> {
-    fn new() -> Self {
-        DeleteHooks {
-            report: |b: &B, keys, out| b.bulk_delete_report(keys, out),
-            aggregate: |b: &B, keys| b.bulk_delete(keys),
-        }
-    }
-}
-
 /// One live shard fleet: a sender per worker plus the worker handles.
 type ShardFleet = (Vec<SyncSender<Task>>, Vec<JoinHandle<()>>);
 
@@ -569,7 +529,7 @@ fn spawn_workers<B: ServiceBackend + 'static>(
     stats: &Arc<StatsInner>,
     cfg: &ShardedFilterBuilder,
     linger_ns: &Arc<AtomicU64>,
-    delete_fn: Option<DeleteHooks<B>>,
+    delete_fn: Option<DeleteReportFn<B>>,
     maintain: Option<MaintainHooks<B>>,
     generation: u64,
 ) -> Result<ShardFleet, FilterError> {
@@ -585,7 +545,6 @@ fn spawn_workers<B: ServiceBackend + 'static>(
             linger_ns: Arc::clone(linger_ns),
             delete_fn,
             maintain,
-            coalesce: cfg.coalesce,
             cache: QueryCache::new(cfg.cache_entries),
         };
         let handle = std::thread::Builder::new()
@@ -622,11 +581,8 @@ struct WorkerConfig<B: ServiceBackend> {
     /// external controller (the adaptive network tier) can retune it live;
     /// read when a deadline is armed.
     linger_ns: Arc<AtomicU64>,
-    delete_fn: Option<DeleteHooks<B>>,
+    delete_fn: Option<DeleteReportFn<B>>,
     maintain: Option<MaintainHooks<B>>,
-    /// Sort-dedup query runs before probing (see
-    /// [`ShardedFilterBuilder::coalesce_queries`]).
-    coalesce: bool,
     /// Hot-key verdict cache, when armed (fresh per worker generation, so
     /// a resize never carries verdicts across migrated backends).
     cache: Option<QueryCache>,
@@ -815,24 +771,6 @@ impl<B: ServiceBackend> WorkerConfig<B> {
     }
 
     fn flush_inserts(&self, keys: &[u64], run: std::vec::Drain<'_, Pending>) {
-        // Fully pipelined runs need only the aggregate failure count —
-        // unless an auto-growth policy is armed, in which case the
-        // per-key report drives the grow-and-retry loop even for them.
-        let wants_answers = run.as_slice().iter().any(|p| p.claim.is_some());
-        let auto_growth = self.maintain.is_some_and(|m| m.auto.is_some());
-        if !wants_answers && !auto_growth {
-            let t0 = Instant::now();
-            let failed = self.backend().bulk_insert(keys).unwrap_or(keys.len());
-            self.invalidate_cache();
-            self.stats.record_flush(keys.len(), t0.elapsed());
-            if failed > 0 {
-                self.stats.insert_failures.fetch_add(failed as u64, Ordering::Relaxed);
-            }
-            for p in run {
-                self.record_latency(&p);
-            }
-            return;
-        }
         // Per-key outcomes come straight from the backend's report API, so
         // individual failures are attributed exactly — and, under an Auto
         // policy, retried across grows until they land.
@@ -861,30 +799,10 @@ impl<B: ServiceBackend> WorkerConfig<B> {
 
     fn flush_queries(&self, keys: &[u64], run: std::vec::Drain<'_, Pending>, q: &mut QueryScratch) {
         let t0 = Instant::now();
-        if !self.coalesce && self.cache.is_none() {
-            // Baseline: one bulk probe over the run exactly as it arrived.
-            let hits = self.backend().bulk_query_vec(keys);
-            self.stats.record_flush(keys.len(), t0.elapsed());
-            let n_hits = hits.iter().filter(|&&h| h).count() as u64;
-            self.stats.query_hits.fetch_add(n_hits, Ordering::Relaxed);
-            for (p, hit) in run.zip(hits) {
-                self.record_latency(&p);
-                p.answer(hit);
-            }
-            return;
-        }
-        // Fast path: resolve a verdict per slot through the sort-dedup
-        // coalescer and/or the hot-key cache. Queries are pure, and every
-        // cached verdict carries the current mutation epoch, so the
-        // per-slot answers (and hence the observable fp set) are
-        // bit-identical to the baseline probe.
-        q.verdicts.clear();
-        q.verdicts.resize(keys.len(), false);
-        if self.coalesce {
-            self.coalesced_verdicts(keys, q);
-        } else {
-            self.cached_verdicts(keys, q);
-        }
+        // Queries are pure, and every cached verdict carries the current
+        // mutation epoch, so the per-slot answers (and hence the observable
+        // fp set) are bit-identical to one backend probe of the whole run.
+        self.coalesced_verdicts(keys, q);
         self.stats.record_flush(keys.len(), t0.elapsed());
         let n_hits = q.verdicts.iter().filter(|&&h| h).count() as u64;
         self.stats.query_hits.fetch_add(n_hits, Ordering::Relaxed);
@@ -896,8 +814,10 @@ impl<B: ServiceBackend> WorkerConfig<B> {
 
     /// Sort-dedup the run's keys (the CPU-side sibling of the bulk
     /// pipeline's partition/sort phases), resolve each distinct key once,
-    /// and fan the verdicts back to the original slots.
+    /// and fan the verdicts back to the original slots of `q.verdicts`.
     fn coalesced_verdicts(&self, keys: &[u64], q: &mut QueryScratch) {
+        q.verdicts.clear();
+        q.verdicts.resize(keys.len(), false);
         q.pairs.clear();
         q.pairs.extend(keys.iter().enumerate().map(|(slot, &k)| (k, slot as u32)));
         q.pairs.sort_unstable();
@@ -953,54 +873,18 @@ impl<B: ServiceBackend> WorkerConfig<B> {
         cache.store_batch(miss_keys, &probed);
     }
 
-    /// Cache-only fast path (coalescing off): resolve the run in arrival
-    /// order, probing cache misses — duplicates included — in one bulk
-    /// call.
-    fn cached_verdicts(&self, keys: &[u64], q: &mut QueryScratch) {
-        let cache = self.cache.as_ref().expect("cached_verdicts requires an armed cache");
-        let QueryScratch { verdicts, miss_pos, miss_keys, .. } = q;
-        let hits = cache.lookup_batch(keys, verdicts, miss_pos, miss_keys);
-        self.stats.cache_hits.fetch_add(hits, Ordering::Relaxed);
-        self.stats.cache_misses.fetch_add(miss_keys.len() as u64, Ordering::Relaxed);
-        if miss_keys.is_empty() {
-            return;
-        }
-        let probed = self.backend().bulk_query_vec(miss_keys);
-        for (&pos, &hit) in miss_pos.iter().zip(&probed) {
-            verdicts[pos as usize] = hit;
-        }
-        cache.store_batch(miss_keys, &probed);
-    }
-
     fn flush_deletes(&self, keys: &[u64], run: std::vec::Drain<'_, Pending>) {
-        let Some(hooks) = self.delete_fn else {
+        let Some(delete_report) = self.delete_fn else {
             // Unreachable through the public API (handles refuse deletes on
             // a non-deletable service); dropping the claims aborts waiters.
             drop(run);
             return;
         };
-        // Fully pipelined runs read no per-key answers; keep them on the
-        // cheaper aggregate path.
-        let wants_answers = run.as_slice().iter().any(|p| p.claim.is_some());
-        if !wants_answers {
-            let t0 = Instant::now();
-            if (hooks.aggregate)(&self.backend(), keys).is_err() {
-                self.stats.delete_failures.fetch_add(keys.len() as u64, Ordering::Relaxed);
-            }
-            self.invalidate_cache();
-            self.stats.record_flush(keys.len(), t0.elapsed());
-            for p in run {
-                self.record_latency(&p);
-            }
-            return;
-        }
         // The backend's per-key delete outcomes answer each blocking
-        // caller directly — the pre-query round trip the old aggregate
-        // API forced is gone, halving the backend work of a blocking
-        // delete batch.
+        // caller directly, with no pre-query round trip.
         let mut outcomes = vec![DeleteOutcome::NotFound; keys.len()];
         let t0 = Instant::now();
-        let deleted = (hooks.report)(&self.backend(), keys, &mut outcomes);
+        let deleted = delete_report(&self.backend(), keys, &mut outcomes);
         self.invalidate_cache();
         self.stats.record_flush(keys.len(), t0.elapsed());
         if deleted.is_err() {
@@ -1192,16 +1076,11 @@ impl ServiceHandle {
         Ok(self.call(OpKind::Delete, keys)?.iter().filter(|&&found| !found).count())
     }
 
-    /// Fire-and-forget insert: enqueue and return. Failures surface only
-    /// in [`ServiceStats::insert_failures`]; call [`Self::barrier`] to
-    /// bound completion.
-    pub fn insert_pipelined(&self, key: u64) -> Result<(), FilterError> {
-        self.fan_out(OpKind::Insert, &[key], None)
-    }
-
-    /// Fire-and-forget batch insert (pre-routed, no completion gate). A
-    /// stopped shard does not stop the others: every shard is tried,
-    /// then `ServiceStopped` reports the refusal.
+    /// Fire-and-forget batch insert (pre-routed, no completion gate).
+    /// Failures surface only in [`ServiceStats::insert_failures`]; call
+    /// [`Self::barrier`] to bound completion. A stopped shard does not
+    /// stop the others: every shard is tried, then `ServiceStopped`
+    /// reports the refusal.
     pub fn insert_batch_pipelined(&self, keys: &[u64]) -> Result<(), FilterError> {
         self.fan_out(OpKind::Insert, keys, None)
     }
@@ -1349,7 +1228,7 @@ pub struct ShardedFilter<B: ServiceBackend + 'static> {
     stats: Arc<StatsInner>,
     linger_ns: Arc<AtomicU64>,
     started: Instant,
-    delete_fn: Option<DeleteHooks<B>>,
+    delete_fn: Option<DeleteReportFn<B>>,
     maintain: Option<MaintainHooks<B>>,
     worker_generation: u64,
 }
@@ -1825,16 +1704,7 @@ mod builder_tests {
         assert_eq!(b.shard_spec(&spec).parallelism, Parallelism::Sequential);
         let b = ShardedFilterBuilder::new().shards(4);
         assert_eq!(b.shard_spec(&spec).parallelism, Parallelism::Auto);
-    }
-
-    #[test]
-    fn skew_knobs_default_and_toggle() {
-        let b = ShardedFilterBuilder::new();
-        assert!(b.coalesce, "coalescing defaults on");
-        assert_eq!(b.cache_entries, 0, "cache defaults off");
-        let b = b.coalesce_queries(false).query_cache(512);
-        assert!(!b.coalesce);
-        assert_eq!(b.cache_entries, 512);
+        assert_eq!(b.cache_entries, 0, "the query cache defaults off");
     }
 }
 

@@ -65,9 +65,9 @@ pub const RATIO_BUCKETS: usize = 10;
 /// Histogram of per-flush distinct-key ratios (`distinct / total`) in
 /// ten 10%-wide buckets — the production-visible measure of key skew.
 /// A uniform stream piles into the top bucket (every key distinct); a
-/// Zipf-skewed stream drifts left as duplicates dominate. Recorded by
-/// coalescing query flushes (the only place the distinct count is
-/// computed without adding a sort to the hot path).
+/// Zipf-skewed stream drifts left as duplicates dominate. Every query
+/// flush records its ratio: its coalescing sort-dedup computes the
+/// distinct count anyway.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RatioHistogram {
     /// `buckets[i]` counts flushes whose distinct ratio fell in
@@ -291,7 +291,7 @@ impl StatsInner {
         self.flush_ns_max.fetch_max(ns, Ordering::Relaxed);
     }
 
-    /// Record one coalesced query flush's distinct-key ratio.
+    /// Record one query flush's distinct-key ratio.
     pub fn record_distinct_ratio(&self, distinct: usize, total: usize) {
         self.ratio_hist[RatioHistogram::bucket_of(distinct, total)].fetch_add(1, Ordering::Relaxed);
     }
@@ -372,8 +372,8 @@ pub struct ServiceStats {
     /// Duplicate keys the in-batch coalescer removed from query flushes
     /// (backend probes saved before the cache is even consulted).
     pub coalesced_keys: u64,
-    /// Per-flush distinct-key ratio distribution (coalesced query
-    /// flushes) — how skewed the served key stream actually is.
+    /// Per-flush distinct-key ratio distribution (one sample per query
+    /// flush) — how skewed the served key stream actually is.
     pub distinct_ratio_hist: RatioHistogram,
     /// Time since the service started.
     pub elapsed: Duration,

@@ -4,7 +4,7 @@
 //! against all three.
 
 use baselines::BlockedBloomFilter;
-use filter_core::{hashed_keys, FilterError, ServiceBackend};
+use filter_core::{hashed_keys, DynFilter, FilterError, ServiceBackend};
 use filter_service::{ShardedFilter, ShardedFilterBuilder};
 use gqf::BulkGqf;
 use std::time::Duration;
@@ -178,6 +178,32 @@ fn full_backend_reports_insert_failures() {
     }
     assert!(saw_full, "a 256-slot TCF cannot absorb 2000 keys");
     assert!(service.stats().insert_failures > 0);
+}
+
+/// Overfill a one-shard service with one pipelined batch of 20,000 keys:
+/// every key the backend did not store, and no other, is counted as an
+/// insert failure.
+fn pipelined_overfill_counts_failures<B, F>(make: F)
+where
+    B: ServiceBackend + DynFilter + 'static,
+    F: FnMut(usize) -> Result<B, FilterError>,
+{
+    let service = ShardedFilterBuilder::new().shards(1).build(make).unwrap();
+    let h = service.handle();
+    let keys = hashed_keys(56, 20_000);
+    h.insert_batch_pipelined(&keys).unwrap();
+    h.barrier().unwrap();
+    let stored = service.backends()[0].read().unwrap().len_hint().expect("stored-item count");
+    assert!(stored < keys.len(), "the backend must overflow ({stored} stored)");
+    assert_eq!(service.stats().insert_failures, (keys.len() - stored) as u64);
+}
+
+#[test]
+fn pipelined_inserts_count_every_failed_key() {
+    pipelined_overfill_counts_failures(|_| BulkTcf::new(256));
+    // A GQF carries a 2 × 8192-slot spill pad past its 2^q canonical
+    // slots, so the smallest quotient still holds 16,448 slots.
+    pipelined_overfill_counts_failures(|_| BulkGqf::new_cori(6, 16));
 }
 
 #[test]

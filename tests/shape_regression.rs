@@ -3,7 +3,7 @@
 //! the device model, and pin the relationships every figure depends on —
 //! so a refactor that silently breaks a reproduction claim fails CI.
 
-use filter_core::{hashed_keys, Deletable, Filter, FilterMeta};
+use filter_core::{hashed_keys, BulkDeletable, BulkFilter, Deletable, Filter, FilterMeta};
 use gpu_filters::substrate::cost::estimate;
 use gpu_filters::substrate::metrics;
 use gpu_filters::substrate::{Device, KernelStats};
@@ -111,7 +111,7 @@ fn fig4_bulk_insert_ordering_and_rsqf_collapse() {
     });
     let rsqf = baselines::Rsqf::new(SIZE_LOG2, 5, dev.clone()).unwrap();
     let t_rsqf = modeled_bulk(&dev, rsqf.table_bytes() as u64, n as u64, 1, || {
-        assert_eq!(rsqf.insert_batch(&keys), 0);
+        assert_eq!(rsqf.bulk_insert(&keys).unwrap(), 0);
     });
 
     // Fig. 4: bulk TCF is the fastest insert path; the RSQF's serial
@@ -148,7 +148,7 @@ fn fig6_delete_ordering() {
     let sqf = baselines::Sqf::new(SIZE_LOG2, 5, dev.clone()).unwrap();
     assert_eq!(sqf.insert_batch(&keys), 0);
     let t_sqf = modeled_bulk(&dev, sqf.table_bytes() as u64, n as u64, 1, || {
-        assert_eq!(sqf.delete_batch(&keys), 0);
+        assert_eq!(sqf.bulk_delete(&keys).unwrap(), 0);
     });
 
     // Fig. 6: TCF ≫ GQF-bulk ≫ SQF (an order of magnitude each).

@@ -1,13 +1,17 @@
 //! Skew-fast-path oracle: the serving layer's in-batch query coalescing
 //! and epoch-invalidated hot-key cache are *transparent* optimizations —
-//! with the fast path on or off, every per-key outcome (including the
-//! false-positive set, which is a property of the backend's state, not of
-//! the query path) must be bit-identical.
+//! every per-key query verdict (including the false-positive set, which
+//! is a property of the backend's state, not of the query path) must
+//! equal a plain probe of the backends made outside the service.
 //!
-//! Three angles:
+//! Every query flush coalesces, so two arms run: a small cache armed, and
+//! no cache. Each is checked against that reference at a point where its
+//! service is idle (after a blocking call returns, or after a barrier):
+//! route the call's keys with the service's ring and query each shard's
+//! backend with `bulk_query_vec`. Three angles:
 //!
 //! * randomized duplicate-heavy traces of blocking batched ops, both
-//!   deletable backend families (TCF and GQF), fast arm vs. base arm;
+//!   deletable backend families (TCF and GQF);
 //! * mixed-op runs *pipelined into a single flush* — duplicate keys
 //!   spanning insert → delete → query inside one flush must resolve
 //!   against the worker's post-mutation state, which is what the
@@ -26,37 +30,42 @@ fn dup_batch(pool: &[u64], g: &mut Xorwow, len: usize) -> Vec<u64> {
     (0..len).map(|_| pool[g.next_u32() as usize % pool.len()]).collect()
 }
 
-/// The fast arm: coalescing on, a small cache armed.
-fn fast_builder() -> ShardedFilterBuilder {
+/// One arm: three shards with a `cache_entries` query cache (0 = none).
+fn builder(cache_entries: usize) -> ShardedFilterBuilder {
     ShardedFilterBuilder::new()
         .shards(3)
         .batch_capacity(256)
         .linger(Duration::from_micros(200))
-        .coalesce_queries(true)
-        .query_cache(1 << 10)
+        .query_cache(cache_entries)
 }
 
-/// The base arm: the pre-PR query path, bit for bit.
-fn base_builder() -> ShardedFilterBuilder {
-    ShardedFilterBuilder::new()
-        .shards(3)
-        .batch_capacity(256)
-        .linger(Duration::from_micros(200))
-        .coalesce_queries(false)
-        .query_cache(0)
+/// The reference verdicts for `keys`: route them with the service's ring
+/// and probe each shard's backend directly. Call it only while the
+/// service is idle, so the backends hold the state its answers came from.
+fn direct_probe<B: ServiceBackend>(service: &ShardedFilter<B>, keys: &[u64]) -> Vec<bool> {
+    let (by_shard, positions) = service.router().partition(keys);
+    let mut out = vec![false; keys.len()];
+    for ((shard_keys, slots), backend) in by_shard.iter().zip(&positions).zip(service.backends()) {
+        let hits = backend.read().unwrap().bulk_query_vec(shard_keys);
+        for (&slot, hit) in slots.iter().zip(hits) {
+            out[slot as usize] = hit;
+        }
+    }
+    out
 }
 
 /// Drive an identical randomized mixed trace through both arms and demand
 /// identical outcomes for every call — insert failure counts, per-key
-/// query verdicts (hits *and* false positives), delete not-present counts.
+/// query verdicts (hits *and* false positives), delete not-present counts
+/// — and query verdicts equal to the direct probe.
 fn randomized_trace_agrees<B, F>(seed: u64, build: F)
 where
     B: ServiceBackend + BulkDeletable + 'static,
     F: Fn(usize) -> Result<B, FilterError> + Copy,
 {
-    let fast = fast_builder().build_deletable(build).unwrap();
-    let base = base_builder().build_deletable(build).unwrap();
-    let (hf, hb) = (fast.handle(), base.handle());
+    let cached = builder(1 << 10).build_deletable(build).unwrap();
+    let plain = builder(0).build_deletable(build).unwrap();
+    let (hc, hp) = (cached.handle(), plain.handle());
 
     // A small pool → heavy duplication inside every batch; a disjoint
     // absent pool probes the false-positive set.
@@ -68,29 +77,34 @@ where
         let batch = dup_batch(&pool, &mut g, 64 + (round % 5) * 50);
         match g.next_u32() % 4 {
             0 => {
-                let (a, b) = (hf.insert_batch(&batch), hb.insert_batch(&batch));
+                let (a, b) = (hc.insert_batch(&batch), hp.insert_batch(&batch));
                 assert_eq!(a.ok(), b.ok(), "insert outcome diverged at round {round}");
             }
             1 => {
-                let (a, b) = (hf.delete_batch(&batch), hb.delete_batch(&batch));
+                let (a, b) = (hc.delete_batch(&batch), hp.delete_batch(&batch));
                 assert_eq!(a.ok(), b.ok(), "delete outcome diverged at round {round}");
             }
             _ => {
-                let (a, b) = (hf.query_batch(&batch).unwrap(), hb.query_batch(&batch).unwrap());
+                let (a, b) = (hc.query_batch(&batch).unwrap(), hp.query_batch(&batch).unwrap());
                 assert_eq!(a, b, "query verdicts diverged at round {round}");
+                assert_eq!(a, direct_probe(&cached, &batch), "cache arm ≠ probe at round {round}");
+                assert_eq!(b, direct_probe(&plain, &batch), "plain arm ≠ probe at round {round}");
             }
         }
     }
 
     // The false-positive sets must be bit-identical: same backends, same
     // state, so the exact same absent keys collide.
-    let (fp_fast, fp_base) = (hf.query_batch(&absent).unwrap(), hb.query_batch(&absent).unwrap());
-    assert_eq!(fp_fast, fp_base, "false-positive sets diverged");
+    let (fp_cached, fp_plain) =
+        (hc.query_batch(&absent).unwrap(), hp.query_batch(&absent).unwrap());
+    assert_eq!(fp_cached, fp_plain, "false-positive sets diverged");
+    assert_eq!(fp_plain, direct_probe(&plain, &absent), "false-positive set ≠ probe");
 
-    let s = fast.stats();
+    let s = cached.stats();
     assert!(s.coalesced_keys > 0, "duplicate-heavy trace never coalesced");
     assert!(s.cache_hits + s.cache_misses > 0, "cache never consulted");
     assert!(s.cache_invalidations > 0, "mutations never bumped the epoch");
+    assert!(plain.stats().coalesced_keys > 0, "the no-cache arm must coalesce too");
 }
 
 #[test]
@@ -109,12 +123,17 @@ fn randomized_duplicate_heavy_traces_are_bit_identical_gqf() {
 
 /// Pipeline duplicate keys through insert → delete → query *within one
 /// flush* (single shard, capacity and linger far above the submission),
-/// on both arms. The query run resolves after the same-flush mutations,
-/// so its verdicts must match the base arm's — this is the case the
-/// per-mutation-run epoch bump exists for.
-fn one_flush_mixed_ops(build: impl Fn(usize) -> Result<BulkTcf, FilterError> + Copy) {
-    let mk = |builder: ShardedFilterBuilder| {
-        builder
+/// on both arms. The query run resolves after the same-flush mutations
+/// and is the flush's last run, so after the barrier its verdicts must
+/// match the direct probe — this is the case the per-mutation-run epoch
+/// bump exists for.
+fn one_flush_mixed_ops<B, F>(build: F)
+where
+    B: ServiceBackend + BulkDeletable + 'static,
+    F: Fn(usize) -> Result<B, FilterError> + Copy,
+{
+    let mk = |cache_entries| {
+        builder(cache_entries)
             .shards(1)
             .batch_capacity(1 << 14)
             .linger(Duration::from_millis(40))
@@ -129,7 +148,7 @@ fn one_flush_mixed_ops(build: impl Fn(usize) -> Result<BulkTcf, FilterError> + C
         let del = dup_batch(&pool, &mut g, 120);
         let qry = dup_batch(&pool, &mut g, 300);
 
-        let run = |service: &ShardedFilter<BulkTcf>| {
+        let run = |service: &ShardedFilter<B>| {
             let h = service.handle();
             // Warm state so deletes have something to remove, then stack
             // all three runs into the worker's queue before any flush
@@ -145,17 +164,16 @@ fn one_flush_mixed_ops(build: impl Fn(usize) -> Result<BulkTcf, FilterError> + C
             let report = rx.recv().unwrap();
             assert_eq!(report.aborted, 0, "query run aborted");
             h.barrier().unwrap();
+            assert_eq!(report.results, direct_probe(service, &qry), "verdicts ≠ probe");
             report.results
         };
 
-        let fast = mk(fast_builder());
-        let base = mk(base_builder());
-        let vf = run(&fast);
-        let vb = run(&base);
-        assert_eq!(vf, vb, "same-flush insert→delete→query verdicts diverged");
+        let cached = mk(1 << 10);
+        let plain = mk(0);
+        assert_eq!(run(&cached), run(&plain), "same-flush insert→delete→query verdicts diverged");
 
         // The flush really did see coalescable duplicates and mutations.
-        let s = fast.stats();
+        let s = cached.stats();
         assert!(s.coalesced_keys > 0, "expected in-batch duplicates to coalesce");
         assert!(s.cache_invalidations > 0, "same-flush mutations must bump the epoch");
     }
@@ -164,6 +182,11 @@ fn one_flush_mixed_ops(build: impl Fn(usize) -> Result<BulkTcf, FilterError> + C
 #[test]
 fn mixed_ops_in_one_flush_resolve_against_post_mutation_state() {
     one_flush_mixed_ops(|_| BulkTcf::new(1 << 12));
+}
+
+#[test]
+fn mixed_ops_in_one_flush_resolve_against_post_mutation_state_gqf() {
+    one_flush_mixed_ops(|_| BulkGqf::new_cori(11, 8));
 }
 
 /// Delete-everything epoch test: a cache saturated with positive verdicts
