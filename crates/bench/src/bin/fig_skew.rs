@@ -24,7 +24,7 @@
 //! cargo run --release -p bench --bin fig_skew -- --smoke  # CI scale
 //! ```
 
-use bench::{measure_wall, BenchArgs, Json, Measurement, Probe, Trajectory};
+use bench::{measure_wall, BenchArgs, Json, Probe, Trajectory};
 use filter_core::{hashed_keys, Xorwow};
 use filter_service::{ServiceHandle, ShardedFilterBuilder};
 use gqf::BulkGqf;
@@ -85,14 +85,17 @@ fn drive_queries(h: &ServiceHandle, trace: &[u64]) {
 }
 
 /// One row: query `trace` against a fresh service with a per-shard
-/// query cache of `cache_entries` (0 = none, the base arm).
+/// query cache of `cache_entries` (0 = none, the base arm). Pushes the
+/// row onto `traj`, which prints it, then prints the arm's service stats
+/// under it.
 fn run_arm(
+    traj: &mut Trajectory,
     args: &BenchArgs,
     keys: &[u64],
     trace: &[u64],
     zipf: f64,
     cache_entries: usize,
-) -> Measurement {
+) {
     let q = shard_q_bits(keys.len());
     let zlabel = if zipf == UNIFORM { "uniform".to_string() } else { format!("z{zipf}") };
     let label = if cache_entries > 0 {
@@ -120,13 +123,15 @@ fn run_arm(
     let stats = service.stats();
     let looked_up = stats.cache_hits + stats.cache_misses;
     let hit_rate = if looked_up > 0 { stats.cache_hits as f64 / looked_up as f64 } else { 0.0 };
+    traj.push(
+        row.metric("zipf", zipf)
+            .metric("cache_entries", cache_entries as f64)
+            .metric("cache_hit_rate", hit_rate)
+            .metric("coalesced_keys", stats.coalesced_keys as f64)
+            .metric("shards", SHARDS as f64)
+            .metric("clients", CLIENTS as f64),
+    );
     println!("    └─ {}", stats.render().replace('\n', "\n       "));
-    row.metric("zipf", zipf)
-        .metric("cache_entries", cache_entries as f64)
-        .metric("cache_hit_rate", hit_rate)
-        .metric("coalesced_keys", stats.coalesced_keys as f64)
-        .metric("shards", SHARDS as f64)
-        .metric("clients", CLIENTS as f64)
 }
 
 fn main() {
@@ -196,9 +201,9 @@ fn main() {
     for &zipf in &zipfs {
         let trace = query_trace(&keys, zipf, queries, 0xbead + zipf.to_bits());
         // Denominator: the default service, no cache.
-        traj.push(run_arm(&args, &keys, &trace, zipf, 0));
+        run_arm(&mut traj, &args, &keys, &trace, zipf, 0);
         for &entries in &cache_sizes {
-            traj.push(run_arm(&args, &keys, &trace, zipf, entries));
+            run_arm(&mut traj, &args, &keys, &trace, zipf, entries);
         }
     }
 

@@ -79,7 +79,12 @@
 //!   rationale in the `cache` module docs.
 //!
 //! Each shard worker also reuses its flush scratch vectors across
-//! flushes, so a steady-state worker allocates nothing per batch.
+//! flushes: the drained op buffer, the current same-kind run, its key
+//! column and the query path's sort-dedup and cache working set. A flush
+//! still allocates its answers: every insert and delete flush a per-key
+//! outcome vector, every query flush the backend's verdict vector (and a
+//! backend's report kernel may allocate its own per-key flags, as the
+//! bulk GQF's do).
 //!
 //! ```
 //! use filter_service::ShardedFilterBuilder;

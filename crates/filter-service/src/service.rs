@@ -588,9 +588,12 @@ struct WorkerConfig<B: ServiceBackend> {
     cache: Option<QueryCache>,
 }
 
-/// Per-worker scratch reused across flushes so a steady-state worker
-/// allocates nothing per batch: the drained op buffer, the current
-/// same-kind run, its key column, and the query-path working vectors.
+/// Per-worker scratch reused across flushes: the drained op buffer, the
+/// current same-kind run, its key column, and the query-path working
+/// vectors. What a flush answers is still allocated per flush: the
+/// outcome vectors of [`WorkerConfig::flush_inserts`] and
+/// [`WorkerConfig::flush_deletes`], and the verdicts `bulk_query_vec`
+/// returns to [`WorkerConfig::probe_distinct`].
 #[derive(Default)]
 struct FlushScratch {
     ops: Vec<Pending>,

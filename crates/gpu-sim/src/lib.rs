@@ -39,7 +39,7 @@ pub mod sort;
 pub mod warp;
 
 pub use exec::{Device, KernelStats};
-pub use memory::{GpuBuffer, SpanView, CACHE_LINE_BYTES, WORDS_PER_LINE};
+pub use memory::{GpuBuffer, LiveSpan, SpanView, CACHE_LINE_BYTES, WORDS_PER_LINE};
 pub use metrics::{Counter, Counters};
 pub use profile::DeviceProfile;
 pub use warp::{Cg, WARP_SIZE};

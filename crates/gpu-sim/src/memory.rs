@@ -16,8 +16,19 @@
 //! * a CAS that fails because *other* bits of the shared word changed is
 //!   counted as neighbor interference and retried, exactly the failure mode
 //!   the paper describes for sub-16-bit fingerprints.
+//!
+//! Besides the per-slot accesses, a buffer offers word-level range
+//! kernels for writers that price their own traffic:
+//! [`GpuBuffer::move_slots`] (the GQF's §5.2 `memmove`: every destination
+//! word is built from the two source words it draws on with one funnel
+//! shift and stored once, for every slot width) and
+//! [`GpuBuffer::fill_slots`]. Staged block reads come in two forms:
+//! [`GpuBuffer::load_span`] copies the span (a snapshot a CAS can be
+//! checked against) and [`GpuBuffer::live_span`] reads it in place, with
+//! the same charges.
 
 use crate::metrics::{bump, Counter};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Cache line (= GPU memory transaction) size in bytes.
@@ -35,6 +46,9 @@ pub struct GpuBuffer {
     /// metadata, 8-, 13-, 16-, 32- and 64-bit slots), so [`Self::locate`]
     /// shifts and masks instead of dividing; `None` for the other widths.
     word_shift: Option<u32>,
+    /// One 1 at each slot's lowest bit: `v * repunit` puts `v` in every
+    /// slot of a word ([`Self::fill_slots`]).
+    repunit: u64,
     len: usize,
     /// Identity in the `race-check` shadow logs (0 when the sanitizer is
     /// compiled out; see [`crate::shadow`]).
@@ -55,7 +69,10 @@ impl GpuBuffer {
         let words = (0..n_words.max(WORDS_PER_LINE)).map(|_| AtomicU64::new(0)).collect();
         let shadow_id = crate::shadow::new_buffer_id();
         let word_shift = slots_per_word.is_power_of_two().then(|| slots_per_word.trailing_zeros());
-        GpuBuffer { words, elem_bits, slots_per_word, word_shift, len, shadow_id }
+        let mut buf =
+            GpuBuffer { words, elem_bits, slots_per_word, word_shift, repunit: 0, len, shadow_id };
+        buf.repunit = buf.used_bits() / buf.mask();
+        buf
     }
 
     /// Number of slots.
@@ -89,6 +106,25 @@ impl GpuBuffer {
         } else {
             (1u64 << self.elem_bits) - 1
         }
+    }
+
+    /// The live (non-dead) bits of a backing word: its `slots_per_word`
+    /// slots. 5-, 7-, 12- and 13-bit words leave their top bits dead.
+    #[inline(always)]
+    fn used_bits(&self) -> u64 {
+        let bits = self.slots_per_word as u32 * self.elem_bits;
+        if bits == 64 {
+            u64::MAX
+        } else {
+            (1u64 << bits) - 1
+        }
+    }
+
+    /// Bits of the in-word slots `[lo, hi)` (`lo < hi <= slots_per_word`).
+    #[inline(always)]
+    fn slot_bits(&self, lo: usize, hi: usize) -> u64 {
+        (self.used_bits() >> ((self.slots_per_word - hi) as u32 * self.elem_bits))
+            & !((1u64 << (lo as u32 * self.elem_bits)) - 1)
     }
 
     /// (word index, bit offset inside word) of a slot: a shift and a mask
@@ -326,9 +362,15 @@ impl GpuBuffer {
     /// Cooperatively load the span of slots `[start, start + n)` — the CG
     /// "loads the block into shared memory" step. Counts one line load per
     /// distinct cache line covered.
+    ///
+    /// The view is a snapshot: a copy of the span's words, taken once.
+    /// The point TCF and the cuckoo baseline need exactly that, because
+    /// they CAS a slot against the value they staged; a live read could
+    /// return a racer's fresh value and let the CAS overwrite it. A reader
+    /// with no concurrent writer uses [`Self::live_span`], which charges
+    /// the same and copies nothing.
     pub fn load_span(&self, start: usize, n: usize) -> SpanView<'_> {
-        assert!(start + n <= self.len || n == 0);
-        crate::shadow::record(self.shadow_id, start, start + n, false);
+        self.charge_span(start, n);
         if n == 0 {
             return SpanView {
                 base_slot: start,
@@ -339,9 +381,6 @@ impl GpuBuffer {
         }
         let (w0, _) = self.locate(start);
         let (w1, _) = self.locate(start + n - 1);
-        let first_line = w0 / WORDS_PER_LINE;
-        let last_line = w1 / WORDS_PER_LINE;
-        bump(Counter::LinesLoaded, (last_line - first_line + 1) as u64);
         let n_words = w1 - w0 + 1;
         // Spans up to four cache lines (every filter block) stage into an
         // inline buffer — no allocation on the hot path.
@@ -355,6 +394,28 @@ impl GpuBuffer {
             SpanWords::Heap((w0..=w1).map(|w| self.words[w].load(Ordering::Acquire)).collect())
         };
         SpanView { base_slot: start, first_word: w0, words, buf: self }
+    }
+
+    /// Stage the span `[start, start + n)` in place: the line loads and
+    /// shadow read of [`Self::load_span`], then reads of the live words
+    /// (each an atomic load, as the copy's are). For a reader that no
+    /// concurrent kernel writes against — a region kernel owning its
+    /// block, or a query launch with no writer — it sees what a snapshot
+    /// would, without zeroing and filling one.
+    pub fn live_span(&self, start: usize, n: usize) -> LiveSpan<'_> {
+        self.charge_span(start, n);
+        LiveSpan { slots: start..start + n, buf: self }
+    }
+
+    /// The charges of staging `[start, start + n)`: one line load per
+    /// distinct cache line and one shadow read of the span.
+    fn charge_span(&self, start: usize, n: usize) {
+        assert!(start + n <= self.len || n == 0);
+        crate::shadow::record(self.shadow_id, start, start + n, false);
+        if n > 0 {
+            let lines = self.line_of(start + n - 1) - self.line_of(start) + 1;
+            bump(Counter::LinesLoaded, lines as u64);
+        }
     }
 
     /// Coalesced write of `values` into slots `[start, start + values.len())`.
@@ -387,11 +448,108 @@ impl GpuBuffer {
                 covered |= mask << off;
                 off += self.elem_bits;
             }
-            if hi - lo == spw {
-                self.words[word].store(bits, Ordering::Release);
+            self.store_covered(word, covered, bits, false);
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Word-level range kernels (uncounted: their callers price the lines)
+    // ------------------------------------------------------------------
+
+    /// Move the `n` slots at `src` to `dst`, without traffic accounting.
+    /// The ranges may overlap: the copy runs in the safe direction
+    /// (descending when `dst > src`), so the result equals a per-slot
+    /// copy loop in that direction.
+    ///
+    /// Each destination word is stored once. It is built from the two
+    /// source words it draws on with one funnel shift in slot units (the
+    /// source's dead bits masked off), the same code path for every slot
+    /// width. A word the range covers whole is stored plainly: its slots
+    /// are all the caller's. A word it covers in part gets an owner store
+    /// (one load, one plain store, as [`Self::write_owned`]) when `owned`
+    /// declares the caller the only writer of every word the range
+    /// touches, and otherwise a masked CAS that keeps a concurrent writer
+    /// of the word's other slots (as [`Self::write_free`]). Under
+    /// `race-check` exactly the source slots are logged as read and the
+    /// destination slots as written.
+    pub fn move_slots(&self, src: usize, dst: usize, n: usize, owned: bool) {
+        if n == 0 || src == dst {
+            return;
+        }
+        assert!(src.max(dst) + n <= self.len, "move of {n} slots out of bounds {}", self.len);
+        crate::shadow::record(self.shadow_id, src, src + n, false);
+        crate::shadow::record(self.shadow_id, dst, dst + n, true);
+        let (spw, eb) = (self.slots_per_word, self.elem_bits);
+        let used = self.used_bits();
+        // Destination word `w`'s first slot reads source slot
+        // `w * spw - shift`: `skew` slots into source word `w - lag`.
+        let shift = dst as isize - src as isize;
+        let (skew, lag) = match self.word_shift {
+            Some(log2) => ((-shift) & (spw as isize - 1), shift >> log2),
+            None => ((-shift).rem_euclid(spw as isize), shift.div_euclid(spw as isize)),
+        };
+        // `lag` rounds the distance down; a skewed word draws on the
+        // source word one further left.
+        let lag = lag + isize::from(skew != 0);
+        let skew = skew as u32;
+        let load = |w: isize| {
+            let word = usize::try_from(w).ok().and_then(|w| self.words.get(w));
+            word.map_or(0, |word| word.load(Ordering::Acquire)) & used
+        };
+        let (first, last) = (self.locate(dst).0, self.locate(dst + n - 1).0);
+        let store = |w: usize| {
+            let from = w as isize - lag;
+            let bits = if skew == 0 {
+                load(from)
             } else {
-                self.cas_bits(word, covered, bits);
-            }
+                (load(from) >> (skew * eb)) | (load(from + 1) << ((spw as u32 - skew) * eb))
+            };
+            self.store_covered(w, self.covered(w, dst, dst + n), bits, owned);
+        };
+        if dst > src {
+            (first..=last).rev().for_each(store);
+        } else {
+            (first..=last).for_each(store);
+        }
+    }
+
+    /// Fill `slots` with `value`, without traffic accounting: each word is
+    /// stored once with the pattern `value` × the slot width's repunit (no
+    /// per-slot loop), by the store rule of [`Self::move_slots`].
+    pub fn fill_slots(&self, slots: Range<usize>, value: u64, owned: bool) {
+        if slots.is_empty() {
+            return;
+        }
+        assert!(slots.end <= self.len, "fill of {slots:?} out of bounds {}", self.len);
+        crate::shadow::record(self.shadow_id, slots.start, slots.end, true);
+        let pattern = (value & self.mask()) * self.repunit;
+        for w in self.locate(slots.start).0..=self.locate(slots.end - 1).0 {
+            self.store_covered(w, self.covered(w, slots.start, slots.end), pattern, owned);
+        }
+    }
+
+    /// Bits of word `w` that hold slots of `[start, end)`.
+    #[inline(always)]
+    fn covered(&self, w: usize, start: usize, end: usize) -> u64 {
+        let base = w * self.slots_per_word;
+        let lo = start.saturating_sub(base);
+        let hi = (end - base).min(self.slots_per_word);
+        self.slot_bits(lo, hi)
+    }
+
+    /// Store the `cover` bits of `bits` into word `w`: plainly when the
+    /// range covers the word whole, else an owner store when `owned`, else
+    /// a masked CAS (the rule [`Self::move_slots`] documents).
+    #[inline(always)]
+    fn store_covered(&self, w: usize, cover: u64, bits: u64, owned: bool) {
+        let word = &self.words[w];
+        if cover == self.used_bits() {
+            word.store(bits & cover, Ordering::Release);
+        } else if owned {
+            let cur = word.load(Ordering::Relaxed);
+            word.store((cur & !cover) | (bits & cover), Ordering::Release);
+        } else {
+            self.cas_bits(w, cover, bits);
         }
     }
 
@@ -474,6 +632,38 @@ impl<'a> SpanView<'a> {
     #[inline]
     pub fn reload(&self, slot: usize) -> u64 {
         self.buf.read_free(slot)
+    }
+}
+
+/// A span of slots staged in place by [`GpuBuffer::live_span`]: reads
+/// are free and go to the live words.
+pub struct LiveSpan<'a> {
+    slots: Range<usize>,
+    buf: &'a GpuBuffer,
+}
+
+impl LiveSpan<'_> {
+    /// Read absolute slot `slot` of the span (free).
+    #[inline]
+    pub fn get(&self, slot: usize) -> u64 {
+        debug_assert!(self.slots.contains(&slot), "slot {slot} outside {:?}", self.slots);
+        let (word, off) = self.buf.locate(slot);
+        (self.buf.words[word].load(Ordering::Acquire) >> off) & self.buf.mask()
+    }
+
+    /// Append the absolute slots `slots` of the span to `out`, loading
+    /// each backing word once (free).
+    pub fn unpack(&self, slots: Range<usize>, out: &mut Vec<u64>) {
+        debug_assert!(self.slots.start <= slots.start && slots.end <= self.slots.end);
+        let (mask, eb) = (self.buf.mask(), self.buf.elem_bits);
+        let mut slot = slots.start;
+        while slot < slots.end {
+            let (word, off) = self.buf.locate(slot);
+            let take = (self.buf.slots_per_word - (off / eb) as usize).min(slots.end - slot);
+            let bits = self.buf.words[word].load(Ordering::Acquire) >> off;
+            out.extend((0..take as u32).map(|i| (bits >> (i * eb)) & mask));
+            slot += take;
+        }
     }
 }
 
@@ -631,6 +821,139 @@ mod tests {
                 }
                 assert_eq!(span.to_vec(), reference.to_vec(), "bits={bits} start={start} n={n}");
                 assert_eq!(diff.get(Counter::LinesStored), lines.len() as u64, "bits={bits}");
+            }
+        }
+    }
+
+    /// Per-slot reference of [`GpuBuffer::move_slots`]: a copy loop in
+    /// the safe direction.
+    fn move_per_slot(buf: &GpuBuffer, src: usize, dst: usize, n: usize) {
+        let copy = |i: usize| buf.write_free(dst + i, buf.read_free(src + i));
+        if dst > src {
+            (0..n).rev().for_each(copy);
+        } else {
+            (0..n).for_each(copy);
+        }
+    }
+
+    /// Raw backing words, dead bits included.
+    fn raw_words(buf: &GpuBuffer) -> Vec<u64> {
+        buf.words.iter().map(|w| w.load(Ordering::Relaxed)).collect()
+    }
+
+    #[test]
+    fn word_moves_and_fills_match_per_slot_references() {
+        let mut next = xorshift(0x2545_F491_4F6C_DD1D);
+        for bits in [1u32, 5, 7, 8, 12, 13, 16, 32, 64] {
+            let spw = (64 / bits) as usize;
+            // 50 words: a span of 33 words crosses two 128-byte lines.
+            let len = 50 * spw;
+            // Distances of one slot up to three words' worth of slots.
+            let mut distances = vec![1, spw / 2 + 1, spw, spw + 1, 2 * spw - 1, 3 * spw];
+            distances.dedup();
+            // Starts and lengths mid-word, on word edges, and across lines.
+            let starts = [0, 1, spw - 1, spw, spw + spw / 2, 3 * spw + 1];
+            let lens = [1, spw - 1, spw, spw + 2, 2 * spw + 1, 33 * spw + 3];
+            for owned in [false, true] {
+                let (moved, reference) = (GpuBuffer::new(len, bits), GpuBuffer::new(len, bits));
+                for slot in 0..len {
+                    let v = next();
+                    moved.write_free(slot, v);
+                    reference.write_free(slot, v);
+                }
+                for &from in &starts {
+                    for &n in lens.iter().filter(|&&n| n > 0) {
+                        for &d in &distances {
+                            if from + n + d > len {
+                                continue;
+                            }
+                            // Up (overlapping when d < n), then back down.
+                            for (src, dst) in [(from, from + d), (from + d, from)] {
+                                moved.move_slots(src, dst, n, owned);
+                                move_per_slot(&reference, src, dst, n);
+                                let case = format!("bits={bits} owned={owned} {src}->{dst} n={n}");
+                                assert_eq!(raw_words(&moved), raw_words(&reference), "{case}");
+                            }
+                        }
+                        let v = next();
+                        moved.fill_slots(from..from + n, v, owned);
+                        for slot in from..from + n {
+                            reference.write_free(slot, v);
+                        }
+                        let case = format!("bits={bits} owned={owned} fill {from}+{n}");
+                        assert_eq!(raw_words(&moved), raw_words(&reference), "{case}");
+                    }
+                }
+                // A fill pattern keeps every slot's value, the top one too.
+                moved.fill_slots(0..len, u64::MAX, owned);
+                assert!(moved.to_vec().iter().all(|&v| v == moved.mask()), "bits={bits}");
+                assert_eq!(raw_words(&moved)[0], moved.used_bits(), "bits={bits}");
+            }
+        }
+    }
+
+    #[test]
+    fn word_moves_keep_a_concurrent_neighbours_slots() {
+        // 12-bit slots, 5 per word: the mover's range [0, 7) and the
+        // neighbour's [7, 14) share word 1 (slots 5..10), which the mover
+        // stores with a masked CAS every round.
+        let buf = GpuBuffer::new(64, 12);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            let (buf, start) = (&buf, &start);
+            s.spawn(move || {
+                start.wait();
+                for round in 1..=10_000u64 {
+                    let v = round & 0xFFF;
+                    buf.fill_slots(0..7, v, false);
+                    buf.write_free(0, v ^ 1);
+                    buf.move_slots(0, 1, 6, false);
+                    for slot in 0..7 {
+                        let want = if slot < 2 { v ^ 1 } else { v };
+                        assert_eq!(buf.read_free(slot), want, "mover lost slot {slot}");
+                    }
+                }
+            });
+            s.spawn(move || {
+                start.wait();
+                for round in 1..=10_000u64 {
+                    for slot in 7..14 {
+                        buf.write_free(slot, (round + slot as u64) & 0xFFF);
+                    }
+                    for slot in 7..14 {
+                        let want = (round + slot as u64) & 0xFFF;
+                        assert_eq!(buf.read_free(slot), want, "neighbour lost slot {slot}");
+                    }
+                }
+            });
+        });
+    }
+
+    #[test]
+    fn live_span_reads_and_charges_like_a_snapshot() {
+        let mut next = xorshift(0xA076_1D64_78BD_642F);
+        for bits in [1u32, 5, 8, 12, 16, 32, 64] {
+            let buf = GpuBuffer::new(700, bits);
+            for slot in 0..700 {
+                buf.write_free(slot, next());
+            }
+            for (start, n) in [(0usize, 1usize), (3, 130), (64, 128), (333, 367)] {
+                let before = metrics::snapshot_current_thread();
+                let snapshot = buf.load_span(start, n);
+                let mid = metrics::snapshot_current_thread();
+                let live = buf.live_span(start, n);
+                let after = metrics::snapshot_current_thread();
+                let (copied, read) = (mid.since(&before), after.since(&mid));
+                assert_eq!(copied.get(Counter::LinesLoaded), read.get(Counter::LinesLoaded));
+                let mut unpacked = Vec::new();
+                live.unpack(start + 1..start + n, &mut unpacked);
+                assert_eq!(unpacked.len(), n - 1);
+                for slot in start..start + n {
+                    assert_eq!(live.get(slot), snapshot.get(slot), "bits={bits} slot={slot}");
+                    if slot > start {
+                        assert_eq!(unpacked[slot - start - 1], snapshot.get(slot), "bits={bits}");
+                    }
+                }
             }
         }
     }

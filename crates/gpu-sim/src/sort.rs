@@ -58,13 +58,12 @@ pub fn radix_sort_u64_bounded(data: &mut [u64], workers: usize) {
     }
     let mut aux = vec![0u64; data.len()];
     let mut src_is_data = true;
-    for pass in 0..(64 / RADIX_BITS) {
-        let shift = pass * RADIX_BITS;
+    // A digit every key shares costs no pass at all.
+    for shift in varying_digits(data, workers, |&v| v) {
         let (src, dst): (Lane<'_, u64>, Lane<'_, u64>) =
             if src_is_data { (data, &mut aux) } else { (&mut aux, data) };
-        if radix_pass(src, dst, shift, workers, |&v| v) {
-            src_is_data = !src_is_data;
-        }
+        radix_pass(src, dst, shift, workers, |&v| v);
+        src_is_data = !src_is_data;
     }
     if !src_is_data {
         data.copy_from_slice(&aux);
@@ -87,13 +86,12 @@ pub fn radix_sort_pairs_bounded(data: &mut [(u64, u64)], workers: usize) {
     }
     let mut aux = vec![(0u64, 0u64); data.len()];
     let mut src_is_data = true;
-    for pass in 0..(64 / RADIX_BITS) {
-        let shift = pass * RADIX_BITS;
+    // A digit every key shares costs no pass at all.
+    for shift in varying_digits(data, workers, |&(k, _)| k) {
         let (src, dst): (PairLane<'_>, PairLane<'_>) =
             if src_is_data { (data, &mut aux) } else { (&mut aux, data) };
-        if radix_pass(src, dst, shift, workers, |&(k, _)| k) {
-            src_is_data = !src_is_data;
-        }
+        radix_pass(src, dst, shift, workers, |&(k, _)| k);
+        src_is_data = !src_is_data;
     }
     if !src_is_data {
         data.copy_from_slice(&aux);
@@ -117,23 +115,28 @@ pub fn segment_bounds_pairs_bounded(sorted: &[(u64, u64)], workers: usize) -> Ve
     bounds
 }
 
-/// One stable counting pass over `shift..shift+8` key bits. Returns false
-/// (and leaves `dst` untouched) when the pass would be an identity
-/// permutation (all keys share one bucket), an important fast path for
-/// already-hashed keys whose high bytes are uniform late in the sort.
+/// Chunk length of a data-parallel pass over `n` items. Unbounded
+/// (`workers` = 0): over-decompose for load balance. Bounded: exactly one
+/// chunk per permitted worker.
+fn chunk_len(n: usize, workers: usize) -> usize {
+    let n_chunks =
+        if workers == 0 { rayon::current_num_threads().max(1) * 4 } else { workers.max(1) };
+    n.div_ceil(n_chunks).max(1)
+}
+
+/// One stable counting pass over `shift..shift+8` key bits, scattering
+/// `src` into `dst`. The sorts run it only for digits on which some keys
+/// differ ([`varying_digits`]), so no pass is an identity permutation
+/// and every pass scatters.
 fn radix_pass<T: Copy + Send + Sync>(
     src: &mut [T],
     dst: &mut [T],
     shift: u32,
     workers: usize,
     key: impl Fn(&T) -> u64 + Sync,
-) -> bool {
+) {
     let n = src.len();
-    // Unbounded (workers = 0): over-decompose for load balance. Bounded:
-    // exactly one chunk per permitted worker.
-    let n_chunks =
-        if workers == 0 { rayon::current_num_threads().max(1) * 4 } else { workers.max(1) };
-    let chunk_len = n.div_ceil(n_chunks);
+    let chunk_len = chunk_len(n, workers);
 
     // Per-chunk histograms.
     let histograms: Vec<[u32; BUCKETS]> = src
@@ -147,15 +150,12 @@ fn radix_pass<T: Copy + Send + Sync>(
         })
         .collect();
 
-    // Bucket totals; skip identity passes.
+    // Bucket totals.
     let mut totals = [0u64; BUCKETS];
     for h in &histograms {
         for (b, &c) in h.iter().enumerate() {
             totals[b] += c as u64;
         }
-    }
-    if totals.contains(&(n as u64)) {
-        return false;
     }
 
     // Exclusive prefix sum of bucket starts.
@@ -188,7 +188,24 @@ fn radix_pass<T: Copy + Send + Sync>(
             cur[b] += 1;
         }
     });
-    true
+}
+
+/// Shifts of the digits on which some keys differ, ascending: one OR/AND
+/// pass over the batch. A digit every key shares would sort as an
+/// identity permutation, so it gets no histogram and no scatter — TCF
+/// block ids below 2^15 vary in 2 digits, 30-bit GQF hashes in 4.
+fn varying_digits<T: Sync>(
+    data: &[T],
+    workers: usize,
+    key: impl Fn(&T) -> u64 + Sync,
+) -> impl Iterator<Item = u32> {
+    let folds: Vec<(u64, u64)> = data
+        .par_chunks(chunk_len(data.len(), workers))
+        .map(|chunk| chunk.iter().fold((0, u64::MAX), |(or, and), t| (or | key(t), and & key(t))))
+        .collect();
+    let (or, and) = folds.iter().fold((0, u64::MAX), |(or, and), &(o, a)| (or | o, and & a));
+    let varying = or ^ and;
+    (0..64).step_by(RADIX_BITS as usize).filter(move |&shift| (varying >> shift) & 0xff != 0)
 }
 
 /// Reduce a *sorted* key slice into `(key, multiplicity)` pairs — Thrust's
@@ -266,6 +283,24 @@ mod tests {
         let mut s = vec![42u64];
         radix_sort_u64(&mut s);
         assert_eq!(s, vec![42]);
+    }
+
+    #[test]
+    fn only_digits_some_keys_differ_on_get_a_pass() {
+        // Keys that differ only in bits 40..42 and 8..10, over a shared
+        // constant byte: two varying digits, and a stable sort by them.
+        let keys: Vec<u64> = (0..50_000u64).map(|i| (i % 5) << 40 | (i % 3) << 8 | 0xAB).collect();
+        assert_eq!(varying_digits(&keys, 0, |&k| k).collect::<Vec<_>>(), vec![8, 40]);
+        let mut pairs: Vec<(u64, u64)> = keys.iter().copied().zip(0..).collect();
+        let mut expect = pairs.clone();
+        expect.sort_by_key(|&(k, _)| k);
+        radix_sort_pairs(&mut pairs);
+        assert_eq!(pairs, expect);
+        // Equal keys: no pass at all, and the data stays as it was.
+        assert_eq!(varying_digits(&[7u64; 20_000], 2, |&k| k).count(), 0);
+        let mut same = vec![7u64; 20_000];
+        radix_sort_u64_bounded(&mut same, 2);
+        assert!(same.iter().all(|&k| k == 7));
     }
 
     #[test]

@@ -16,10 +16,19 @@
 //! answer with `count_ones` / `trailing_zeros` / `leading_zeros`, as the
 //! paper's GQF does. Their one-bit-per-step scalar references live only
 //! in this module's tests, which check the two bit-identical.
+//!
+//! The shifts move whole words too: [`Tracked::move_slots`] and
+//! [`Tracked::fill`] store each word once ([`GpuBuffer::move_slots`],
+//! [`GpuBuffer::fill_slots`]) and charge the lines of the per-slot loop
+//! they replace, in its order, so the modeled counts are those of a
+//! slot-by-slot `memmove`. A caller that scans words itself with a
+//! [`BitScan`] charges its reference walk's loads through
+//! [`Tracked::charge_loads`] and [`Tracked::load_lines`].
 
 use crate::layout::REGION_SLOTS;
 use gpu_sim::metrics::{bump, Counter};
 use gpu_sim::GpuBuffer;
+use std::ops::Range;
 
 /// A line-granular traffic cursor over one buffer.
 ///
@@ -27,17 +36,68 @@ use gpu_sim::GpuBuffer;
 /// which publishes its line loads and stores.
 pub struct Tracked<'a> {
     buf: &'a GpuBuffer,
-    last_read_line: usize,
-    last_write_line: usize,
-    /// Lines charged so far, published on drop.
-    loads: u64,
-    stores: u64,
+    /// Line charges so far, published on drop.
+    loads: Lines,
+    stores: Lines,
     /// Stores are owner stores ([`GpuBuffer::write_owned`]); see
     /// [`words_are_region_owned`].
     owned: bool,
 }
 
 const NO_LINE: usize = usize::MAX;
+
+/// The line charges of one access kind (loads or stores) of a cursor:
+/// the line touched last and the lines charged so far.
+#[derive(Debug, Clone, Copy)]
+pub struct Lines {
+    last: usize,
+    charged: u64,
+}
+
+impl Lines {
+    const NONE: Lines = Lines { last: NO_LINE, charged: 0 };
+
+    /// Touch `line`: one charge unless it is the line touched last.
+    #[inline]
+    pub fn touch(&mut self, line: usize) {
+        if line != self.last {
+            self.charged += 1;
+            self.last = line;
+        }
+    }
+
+    /// Touch every line from `from` to `to` in turn, in either direction:
+    /// the charges of a per-slot walk between two slots on those lines.
+    #[inline]
+    pub fn walk(&mut self, from: usize, to: usize) {
+        self.charged += from.abs_diff(to) as u64 + u64::from(from != self.last);
+        self.last = to;
+    }
+
+    /// Touch the lines of a per-slot loop over `slots` of `buf`, in `walk`
+    /// order.
+    #[inline]
+    fn walk_slots(&mut self, buf: &GpuBuffer, slots: Range<usize>, walk: Walk) {
+        if slots.is_empty() {
+            return;
+        }
+        let (lo, hi) = (buf.line_of(slots.start), buf.line_of(slots.end - 1));
+        match walk {
+            Walk::Up => self.walk(lo, hi),
+            Walk::Down => self.walk(hi, lo),
+        }
+    }
+}
+
+/// The order of a per-slot loop over a slot range, which fixes the order
+/// of its line charges.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Walk {
+    /// Ascending slots.
+    Up,
+    /// Descending slots.
+    Down,
+}
 
 /// Whether no backing word of `buf` spans two GQF regions: its slots per
 /// word divide [`REGION_SLOTS`], i.e. are a power of two (the 1-bit
@@ -54,30 +114,13 @@ impl<'a> Tracked<'a> {
     /// Wrap a buffer.
     pub fn new(buf: &'a GpuBuffer) -> Self {
         let owned = words_are_region_owned(buf);
-        Tracked {
-            buf,
-            last_read_line: NO_LINE,
-            last_write_line: NO_LINE,
-            loads: 0,
-            stores: 0,
-            owned,
-        }
-    }
-
-    /// Charge a line load when `slot` leaves the cached read line.
-    #[inline]
-    fn charge_read(&mut self, slot: usize) {
-        let line = self.buf.line_of(slot);
-        if line != self.last_read_line {
-            self.loads += 1;
-            self.last_read_line = line;
-        }
+        Tracked { buf, loads: Lines::NONE, stores: Lines::NONE, owned }
     }
 
     /// Read a slot, charging a line load when leaving the cached line.
     #[inline]
     pub fn get(&mut self, slot: usize) -> u64 {
-        self.charge_read(slot);
+        self.loads.touch(self.buf.line_of(slot));
         self.buf.read_free(slot)
     }
 
@@ -86,11 +129,7 @@ impl<'a> Tracked<'a> {
     /// else a CAS that preserves a neighbouring region owner's slots.
     #[inline]
     pub fn set(&mut self, slot: usize, value: u64) {
-        let line = self.buf.line_of(slot);
-        if line != self.last_write_line {
-            self.stores += 1;
-            self.last_write_line = line;
-        }
+        self.stores.touch(self.buf.line_of(slot));
         if self.owned {
             self.buf.write_owned(slot, value);
         } else {
@@ -109,7 +148,7 @@ impl<'a> Tracked<'a> {
     /// charging a line load exactly like a slot read on the same line.
     #[inline]
     pub fn get_word(&mut self, slot: usize) -> u64 {
-        self.charge_read(slot);
+        self.loads.touch(self.buf.line_of(slot));
         self.buf.read_word_free(slot)
     }
 
@@ -118,16 +157,51 @@ impl<'a> Tracked<'a> {
     pub fn set_bit(&mut self, slot: usize, value: bool) {
         self.set(slot, value as u64);
     }
+
+    /// Charge the loads of a per-slot read loop over `slots` in `walk`
+    /// order, without reading: for a caller that reads the words itself.
+    #[inline]
+    pub fn charge_loads(&mut self, slots: Range<usize>, walk: Walk) {
+        self.loads.walk_slots(self.buf, slots, walk);
+    }
+
+    /// The cursor's load charges, for a caller that reads words itself
+    /// and touches the lines its per-slot reference would read.
+    #[inline]
+    pub fn load_lines(&mut self) -> &mut Lines {
+        &mut self.loads
+    }
+
+    /// Move `n` slots from `src` to `dst` a word at a time
+    /// ([`GpuBuffer::move_slots`], with this cursor's store rule),
+    /// charging the stores of a per-slot copy loop in the safe direction:
+    /// descending when `dst > src`. The caller charges whatever loads its
+    /// per-slot reference made ([`Self::charge_loads`]).
+    #[inline]
+    pub fn move_slots(&mut self, src: usize, dst: usize, n: usize) {
+        let walk = if dst > src { Walk::Down } else { Walk::Up };
+        self.stores.walk_slots(self.buf, dst..dst + n, walk);
+        self.buf.move_slots(src, dst, n, self.owned);
+    }
+
+    /// Store `value` into every slot of `slots` a word at a time
+    /// ([`GpuBuffer::fill_slots`]), charging the stores of a per-slot loop
+    /// in `walk` order.
+    #[inline]
+    pub fn fill(&mut self, slots: Range<usize>, value: u64, walk: Walk) {
+        self.stores.walk_slots(self.buf, slots.clone(), walk);
+        self.buf.fill_slots(slots, value, self.owned);
+    }
 }
 
 impl Drop for Tracked<'_> {
     /// Publish the operation's line loads and stores, one bump each.
     fn drop(&mut self) {
-        if self.loads > 0 {
-            bump(Counter::LinesLoaded, self.loads);
+        if self.loads.charged > 0 {
+            bump(Counter::LinesLoaded, self.loads.charged);
         }
-        if self.stores > 0 {
-            bump(Counter::LinesStored, self.stores);
+        if self.stores.charged > 0 {
+            bump(Counter::LinesStored, self.stores.charged);
         }
     }
 }
@@ -290,6 +364,65 @@ fn mask_range(lo: u32, hi: u32) -> u64 {
     upper & !((1u64 << lo) - 1)
 }
 
+/// The set (or clear) bits of a 1-bit buffer in `[from, end)`, ascending,
+/// read a word at a time with plain loads ([`GpuBuffer::read_word_free`])
+/// and charged nothing: for a walk whose caller charges the lines its
+/// per-slot reference would read.
+pub struct BitScan<'a> {
+    buf: &'a GpuBuffer,
+    /// XORed into every word: 0 to find set bits, all ones for clear ones.
+    flip: u64,
+    base: usize,
+    /// Unreported hits of the word at `base`.
+    bits: u64,
+    end: usize,
+}
+
+impl<'a> BitScan<'a> {
+    /// The set bits of `buf` in `[from, end)`.
+    pub fn set(buf: &'a GpuBuffer, from: usize, end: usize) -> Self {
+        Self::new(buf, from, end, 0)
+    }
+
+    /// The clear bits of `buf` in `[from, end)`.
+    pub fn clear(buf: &'a GpuBuffer, from: usize, end: usize) -> Self {
+        Self::new(buf, from, end, u64::MAX)
+    }
+
+    fn new(buf: &'a GpuBuffer, from: usize, end: usize, flip: u64) -> Self {
+        let mut scan = BitScan { buf, flip, base: from & !63, bits: 0, end };
+        if from < end {
+            scan.bits = scan.load() & !((1u64 << (from & 63)) - 1);
+        }
+        scan
+    }
+
+    /// The word at `base`, flipped, without the bits at or past `end`.
+    #[inline]
+    fn load(&self) -> u64 {
+        let word = self.buf.read_word_free(self.base) ^ self.flip;
+        word & mask_range(0, (self.end - self.base).min(64) as u32)
+    }
+}
+
+impl Iterator for BitScan<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.bits == 0 {
+            self.base += 64;
+            if self.base >= self.end {
+                return None;
+            }
+            self.bits = self.load();
+        }
+        let i = self.base + self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(i)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -437,6 +570,10 @@ mod tests {
                     next_set(&mut t, p, n),
                     "next_set pat={pi} p={p}"
                 );
+                // The uncharged scans list every matching bit in order.
+                let (set, clear): (Vec<usize>, Vec<usize>) = (p..n).partition(|&i| pat(i));
+                assert_eq!(BitScan::set(&buf, p, n).collect::<Vec<_>>(), set, "pat={pi} p={p}");
+                assert_eq!(BitScan::clear(&buf, p, n).collect::<Vec<_>>(), clear, "pat={pi} p={p}");
                 for &q in &probes {
                     if p <= q {
                         assert_eq!(

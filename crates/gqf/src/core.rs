@@ -18,6 +18,16 @@
 //! slots are found by the word-at-a-time metadata walks of
 //! [`crate::bits`] — 64 metadata bits per step, as in the paper's GQF.
 //!
+//! Both shifts move whole words, as the paper's `memmove` does: an
+//! insert's right shift moves the remainders and continuation bits with
+//! one word-level move each and sets the shifted bits with one fill; a
+//! delete's left slide finds the tail's runs with plain word scans and
+//! moves each maximal group of runs that slide by the same distance at
+//! once. Their cursors charge the lines of the slot-by-slot loops they
+//! replace, in the same order, so every modeled count is that of the
+//! per-slot shifts — which survive as `#[cfg(test)]` references that the
+//! tests run side by side with the word paths.
+//!
 //! Layout invariants (the classic quotient-filter encoding, §5.1):
 //! * items with quotient `q` form a *run* of slots with ascending
 //!   remainders; the first run slot has `continuation = 0`, the rest `1`;
@@ -29,7 +39,7 @@
 //! * the layout is canonical: each run starts at max(previous run end,
 //!   quotient), so it depends only on the stored multiset.
 
-use crate::bits::{self, Metadata, Tracked};
+use crate::bits::{self, BitScan, MetaCursor, Metadata, Tracked, Walk};
 use crate::layout::Layout;
 use crate::runs::{
     decode_run, encode_entry, encode_run, find_entry, replace_entry, total_count, Entry, RunSlots,
@@ -48,6 +58,10 @@ pub struct GqfCore {
     used_slots: AtomicUsize,
     /// Total multiset size (sum of counts).
     items: AtomicUsize,
+    /// Shift with the slot-by-slot reference loops instead of the word
+    /// moves (tests compare the two).
+    #[cfg(test)]
+    per_slot_shifts: bool,
 }
 
 /// A run collected during a cluster walk.
@@ -69,6 +83,8 @@ impl GqfCore {
             used_slots: AtomicUsize::new(0),
             items: AtomicUsize::new(0),
             layout,
+            #[cfg(test)]
+            per_slot_shifts: false,
         }
     }
 
@@ -134,7 +150,7 @@ impl GqfCore {
     /// Start slot of quotient `q`'s run (or where it would begin if `q` is
     /// not yet occupied). Requires slot `q` to be non-empty or occupied —
     /// i.e. not the trivial-insert case.
-    fn run_start(&self, cur: &mut crate::bits::MetaCursor<'_>, q: usize) -> usize {
+    fn run_start(&self, cur: &mut MetaCursor<'_>, q: usize) -> usize {
         if !cur.shift.get_bit(q) {
             return q;
         }
@@ -154,11 +170,7 @@ impl GqfCore {
     }
 
     /// First empty slot at or after `from`.
-    fn first_empty(
-        &self,
-        cur: &mut crate::bits::MetaCursor<'_>,
-        from: usize,
-    ) -> Result<usize, FilterError> {
+    fn first_empty(&self, cur: &mut MetaCursor<'_>, from: usize) -> Result<usize, FilterError> {
         let n = self.layout.physical_slots();
         let i = bits::next_empty(cur, from, n);
         if i < n {
@@ -186,24 +198,27 @@ impl GqfCore {
     // ------------------------------------------------------------------
 
     /// Shift `[a, e)` one slot right (`e` must be empty): the custom
-    /// `memmove` of §5.2, walked in reverse so overlapping ranges are
-    /// safe. Moved slots become shifted; continuation bits travel with
-    /// their slots.
+    /// `memmove` of §5.2. The remainders and continuation bits move a
+    /// word at a time, and one fill marks every moved slot shifted; the
+    /// charges are those of `memmove_right_one_per_slot` (tests only), which
+    /// walks right to left so the overlapping ranges are safe.
     fn memmove_right_one(
         &self,
-        cur: &mut crate::bits::MetaCursor<'_>,
+        cur: &mut MetaCursor<'_>,
         rem: &mut Tracked<'_>,
         a: usize,
         e: usize,
     ) {
         debug_assert!(self.meta.is_empty_slot(cur, e));
-        for i in (a..e).rev() {
-            let v = rem.get(i);
-            rem.set(i + 1, v);
-            let c = cur.cont.get_bit(i);
-            cur.cont.set_bit(i + 1, c);
-            cur.shift.set_bit(i + 1, true);
+        #[cfg(test)]
+        if self.per_slot_shifts {
+            return self.memmove_right_one_per_slot(cur, rem, a, e);
         }
+        rem.charge_loads(a..e, Walk::Down);
+        rem.move_slots(a, a + 1, e - a);
+        cur.cont.charge_loads(a..e, Walk::Down);
+        cur.cont.move_slots(a, a + 1, e - a);
+        cur.shift.fill(a + 1..e + 1, 1, Walk::Down);
     }
 
     /// Open `k` holes at `[pos, pos + k)`, shifting cluster contents right.
@@ -216,7 +231,7 @@ impl GqfCore {
     /// overfilled filter fails the insert instead of racing a neighbour).
     fn open_gap(
         &self,
-        cur: &mut crate::bits::MetaCursor<'_>,
+        cur: &mut MetaCursor<'_>,
         rem: &mut Tracked<'_>,
         origin_q: usize,
         pos: usize,
@@ -255,7 +270,7 @@ impl GqfCore {
     /// metadata for quotient `q`.
     fn write_run(
         &self,
-        cur: &mut crate::bits::MetaCursor<'_>,
+        cur: &mut MetaCursor<'_>,
         rem: &mut Tracked<'_>,
         q: usize,
         start: usize,
@@ -331,7 +346,7 @@ impl GqfCore {
     /// Returns the runs and the exclusive cluster end.
     fn collect_cluster(
         &self,
-        cur: &mut crate::bits::MetaCursor<'_>,
+        cur: &mut MetaCursor<'_>,
         rem: &mut Tracked<'_>,
         c0: usize,
     ) -> (Vec<Run>, usize) {
@@ -354,54 +369,102 @@ impl GqfCore {
         bits::next_set(occ, from, to)
     }
 
-    /// Mark `[from, to)` empty by clearing continuation and shifted bits
-    /// (a freed slot carries no occupied bit, see [`Self::slide_left`]).
-    fn clear_slots(&self, cur: &mut crate::bits::MetaCursor<'_>, from: usize, to: usize) {
-        for i in from..to {
-            cur.cont.set_bit(i, false);
-            cur.shift.set_bit(i, false);
-        }
-    }
-
     /// Close the hole `[dst, src)` that quotient `q`'s run left when it
     /// shrank: slide each following run of the cluster left, never past
     /// its own quotient, and clear the slots nothing moves into — the
     /// left-shift of §6.4, touching only what follows the removed item.
-    /// The walk stops at the first empty slot or unshifted run start
+    /// The slide stops at the first empty slot or unshifted run start
     /// (neither can move), so it stays inside the cluster and the regions
     /// its caller owns. Each moved run starts at max(previous run end,
     /// quotient), the canonical layout [`Self::check_invariants`] asserts,
     /// so every occupied quotient's slot stays covered and no freed slot
     /// carries an occupied bit.
+    ///
+    /// The tail (every slot up to the first clear shifted bit) is read
+    /// with plain word scans: run starts are its clear continuation bits,
+    /// and the runs' quotients the next occupied bits. Consecutive runs
+    /// that slide by the same distance form one segment, moved at once;
+    /// when one slot was freed that is the whole tail. A run that lands on
+    /// its quotient gets its shifted bit cleared. The cursors charge the
+    /// lines of `slide_left_per_slot` (tests only) exactly: its shifted-bit
+    /// check at each run start and at the tail's end, its occupied and
+    /// continuation walks, and its ascending stores.
     fn slide_left(
         &self,
-        cur: &mut crate::bits::MetaCursor<'_>,
+        cur: &mut MetaCursor<'_>,
         rem: &mut Tracked<'_>,
         q: usize,
         mut dst: usize,
-        mut src: usize,
+        src: usize,
     ) {
-        let n = self.layout.physical_slots();
-        let mut q_next = q + 1;
-        // After a run end, a shifted slot starts the cluster's next run.
-        while src < n && cur.shift.get_bit(src) {
-            let b = self.next_occupied(&mut cur.occ, q_next, src);
-            debug_assert!(b < src, "shifted run at {src} has no occupied quotient");
-            let end = self.run_end(&mut cur.cont, src) + 1;
-            let to = dst.max(b);
-            self.clear_slots(cur, dst, to);
-            // `to < src`, so an ascending copy never reads a written slot.
-            for i in 0..end - src {
-                let v = rem.get(src + i);
-                rem.set(to + i, v);
-                cur.cont.set_bit(to + i, i != 0);
-                cur.shift.set_bit(to + i, i != 0 || to != b);
-            }
-            dst = to + (end - src);
-            src = end;
-            q_next = b + 1;
+        #[cfg(test)]
+        if self.per_slot_shifts {
+            return self.slide_left_per_slot(cur, rem, q, dst, src);
         }
-        self.clear_slots(cur, dst, src);
+        let n = self.layout.physical_slots();
+        let meta = &self.meta;
+        // The three bitvectors share one geometry.
+        let line = |slot: usize| meta.shifteds.line_of(slot);
+        let tail_end = BitScan::clear(&meta.shifteds, src, n).next().unwrap_or(n);
+        let mut starts = BitScan::clear(&meta.continuations, src, tail_end);
+        let mut quotients = BitScan::set(&meta.occupieds, q + 1, n);
+        // The segment being gathered: its first source slot and distance
+        // (0 before the first run, which always slides).
+        let mut segment = (src, 0);
+        // The first destination slot whose shifted bit is not yet stored.
+        let mut shifted_from = dst;
+        let mut last_quotient = None;
+        let mut run = starts.next();
+        while let Some(start) = run {
+            cur.shift.load_lines().touch(line(start));
+            let b = quotients.next().expect("a shifted run has an occupied quotient");
+            debug_assert!(b < start, "shifted run at {start} has no occupied quotient");
+            run = starts.next();
+            let to = dst.max(b);
+            if start - to != segment.1 {
+                self.slide_segment(cur, rem, segment, start);
+                cur.cont.fill(dst..to, 0, Walk::Up);
+                segment = (start, start - to);
+            }
+            if to == b {
+                // The run lands on its quotient: its first slot and the
+                // gap before it (if any) are unshifted.
+                cur.shift.fill(shifted_from..dst, 1, Walk::Up);
+                cur.shift.fill(dst..to + 1, 0, Walk::Up);
+                shifted_from = to + 1;
+            }
+            dst = to + (run.unwrap_or(tail_end) - start);
+            last_quotient = Some(b);
+        }
+        self.slide_segment(cur, rem, segment, tail_end);
+        cur.cont.fill(dst..tail_end, 0, Walk::Up);
+        cur.shift.fill(shifted_from..dst, 1, Walk::Up);
+        cur.shift.fill(dst..tail_end, 0, Walk::Up);
+        if tail_end < n {
+            cur.shift.load_lines().touch(line(tail_end));
+        }
+        if let Some(b) = last_quotient {
+            cur.occ.load_lines().walk(line(q + 1), line(b));
+            if src + 1 < n {
+                cur.cont.load_lines().walk(line(src + 1), line(tail_end.min(n - 1)));
+            }
+        }
+    }
+
+    /// Move the slide segment `(first, distance)` — the runs in
+    /// `[first, end)` — left by its distance: remainders and continuation
+    /// bits, each with one word-level move.
+    fn slide_segment(
+        &self,
+        cur: &mut MetaCursor<'_>,
+        rem: &mut Tracked<'_>,
+        (first, distance): (usize, usize),
+        end: usize,
+    ) {
+        let len = end - first;
+        rem.charge_loads(first..end, Walk::Up);
+        rem.move_slots(first, first - distance, len);
+        cur.cont.move_slots(first, first - distance, len);
     }
 
     /// Remove `delta` instances of `(q, r)`. Returns `true` if the
@@ -529,6 +592,74 @@ impl GqfCore {
         assert_eq!(occupied, runs, "occupied quotients and runs differ in number");
         assert_eq!(used, self.used_slots(), "used-slot accounting drift");
         assert_eq!(items, self.items() as u64, "item accounting drift");
+    }
+}
+
+/// The slot-by-slot shifts the word moves replace: the references the
+/// tests run side by side with them.
+#[cfg(test)]
+impl GqfCore {
+    /// An empty filter that shifts with the per-slot references.
+    fn with_per_slot_shifts(layout: Layout) -> Self {
+        GqfCore { per_slot_shifts: true, ..GqfCore::new(layout) }
+    }
+
+    /// [`Self::memmove_right_one`] one slot per step, right to left.
+    fn memmove_right_one_per_slot(
+        &self,
+        cur: &mut MetaCursor<'_>,
+        rem: &mut Tracked<'_>,
+        a: usize,
+        e: usize,
+    ) {
+        for i in (a..e).rev() {
+            let v = rem.get(i);
+            rem.set(i + 1, v);
+            let c = cur.cont.get_bit(i);
+            cur.cont.set_bit(i + 1, c);
+            cur.shift.set_bit(i + 1, true);
+        }
+    }
+
+    /// Mark `[from, to)` empty by clearing continuation and shifted bits
+    /// (a freed slot carries no occupied bit).
+    fn clear_slots(&self, cur: &mut MetaCursor<'_>, from: usize, to: usize) {
+        for i in from..to {
+            cur.cont.set_bit(i, false);
+            cur.shift.set_bit(i, false);
+        }
+    }
+
+    /// [`Self::slide_left`] one run and one slot per step.
+    fn slide_left_per_slot(
+        &self,
+        cur: &mut MetaCursor<'_>,
+        rem: &mut Tracked<'_>,
+        q: usize,
+        mut dst: usize,
+        mut src: usize,
+    ) {
+        let n = self.layout.physical_slots();
+        let mut q_next = q + 1;
+        // After a run end, a shifted slot starts the cluster's next run.
+        while src < n && cur.shift.get_bit(src) {
+            let b = self.next_occupied(&mut cur.occ, q_next, src);
+            debug_assert!(b < src, "shifted run at {src} has no occupied quotient");
+            let end = self.run_end(&mut cur.cont, src) + 1;
+            let to = dst.max(b);
+            self.clear_slots(cur, dst, to);
+            // `to < src`, so an ascending copy never reads a written slot.
+            for i in 0..end - src {
+                let v = rem.get(src + i);
+                rem.set(to + i, v);
+                cur.cont.set_bit(to + i, i != 0);
+                cur.shift.set_bit(to + i, i != 0 || to != b);
+            }
+            dst = to + (end - src);
+            src = end;
+            q_next = b + 1;
+        }
+        self.clear_slots(cur, dst, src);
     }
 }
 
@@ -808,6 +939,87 @@ mod tests {
         let mut sorted = hashes.clone();
         sorted.sort_unstable();
         assert_eq!(hashes, sorted, "cluster iteration yields ascending hashes");
+    }
+
+    /// Every remainder and metadata word of a core.
+    fn words(core: &GqfCore) -> Vec<u64> {
+        let meta = &core.meta;
+        [&core.remainders, &meta.occupieds, &meta.continuations, &meta.shifteds]
+            .into_iter()
+            .flat_map(|buf| {
+                (0..buf.len()).step_by(buf.slots_per_word()).map(|s| buf.read_word_free(s))
+            })
+            .collect()
+    }
+
+    /// `op`'s result and the line loads and stores it charged.
+    fn charged<T>(op: impl FnOnce() -> T) -> (T, u64, u64) {
+        use gpu_sim::{metrics, Counter};
+        let before = metrics::snapshot_current_thread();
+        let out = op();
+        let diff = metrics::snapshot_current_thread().since(&before);
+        (out, diff.get(Counter::LinesLoaded), diff.get(Counter::LinesStored))
+    }
+
+    /// The word shifts against the per-slot references: random upserts
+    /// (counts 1–7) and deletes (delta 1, or the full count, which frees
+    /// several slots) on twin cores, at CAS widths (5, 12), an owned width
+    /// with dead bits (13) and dense widths (8, 16). After every operation
+    /// the two hold the same words, both keep their invariants, and both
+    /// charged the same line loads and stores.
+    #[test]
+    fn word_shifts_match_per_slot_references() {
+        for r_bits in [5u32, 8, 12, 13, 16] {
+            let layout = Layout::new(11, r_bits).unwrap();
+            let (word, per_slot) = (GqfCore::new(layout), GqfCore::with_per_slot_shifts(layout));
+            let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ u64::from(r_bits);
+            let mut next = move || {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng
+            };
+            let mut live: Vec<(usize, u64, u64)> = Vec::new();
+            for step in 0..1_500 {
+                // 200 quotients around the first metadata line edge (slot 1024)
+                // take ~300 items: dense clusters, with runs
+                // that land on their quotients when the tail slides.
+                let delete = !live.is_empty() && (next() % 5 < 2 || live.len() > 300);
+                // `(q, r, count or delta)` of this step's upsert or delete.
+                let (q, r, n) = if delete {
+                    let at = next() as usize % live.len();
+                    let (q, r, count) = live[at];
+                    let delta = if next() % 2 == 0 { 1 } else { count };
+                    if delta == count {
+                        live.swap_remove(at);
+                    } else {
+                        live[at].2 -= delta;
+                    }
+                    (q, r, delta)
+                } else {
+                    let (q, r) = (924 + next() as usize % 200, next() % (1 << r_bits));
+                    let count = 1 + next() % 7;
+                    match live.iter_mut().find(|(lq, lr, _)| (*lq, *lr) == (q, r)) {
+                        Some(entry) => entry.2 += count,
+                        None => live.push((q, r, count)),
+                    }
+                    (q, r, count)
+                };
+                let op = |f: &GqfCore| {
+                    if delete {
+                        f.delete(q, r, n)
+                    } else {
+                        f.upsert(q, r, n).map(|()| true)
+                    }
+                };
+                let (a, b) = (charged(|| op(&word)), charged(|| op(&per_slot)));
+                let case = format!("r={r_bits} step={step} delete={delete}");
+                assert_eq!(a, b, "{case}: result, line loads, line stores");
+                assert_eq!(words(&word), words(&per_slot), "{case}: words");
+                word.check_invariants();
+                per_slot.check_invariants();
+            }
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ use filter_core::{
     ApiMode, DeleteOutcome, Features, FilterError, FilterMeta, FilterSpec, InsertOutcome, Operation,
 };
 use gpu_sim::metrics::{bump, Counter};
-use gpu_sim::{Device, GpuBuffer, SpanView};
+use gpu_sim::{Device, GpuBuffer, LiveSpan};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 
 /// A bulk-API two-choice filter.
@@ -272,13 +272,15 @@ impl BulkTcf {
 
     /// Stage `block` in shared memory — the file's one table load — and
     /// hand `f` the staged view, the block's first slot and its live
-    /// length. The view stays in this frame (it holds up to 64 words
-    /// inline, and returning it by value costs the hot paths).
+    /// length. The block is read in place ([`GpuBuffer::live_span`]): a
+    /// region kernel owns its block, and queries run while no kernel
+    /// writes the table, so the live words are what a copy would hold (a
+    /// copy taken word by word is no more atomic against a writer).
     #[inline]
-    fn stage<R>(&self, block: usize, f: impl FnOnce(&SpanView<'_>, usize, usize) -> R) -> R {
+    fn stage<R>(&self, block: usize, f: impl FnOnce(&LiveSpan<'_>, usize, usize) -> R) -> R {
         let b = self.cfg.block_slots;
         let start = block * b;
-        let view = self.table.load_span(start, b);
+        let view = self.table.live_span(start, b);
         // Live fingerprints (≥ 2) fill a sorted prefix and empties (0) the
         // suffix, so the first empty slot is a binary search away.
         let (mut lo, mut hi) = (0, b);
@@ -295,16 +297,16 @@ impl BulkTcf {
 
     /// A staged block's live entries, with room for the whole block; loads
     /// the block's values span.
-    fn read_entries(&self, view: &SpanView<'_>, start: usize, live: usize) -> Entries {
+    fn read_entries(&self, view: &LiveSpan<'_>, start: usize, live: usize) -> Entries {
         let b = self.cfg.block_slots;
-        let read = |span: &SpanView<'_>| {
+        let read = |span: &LiveSpan<'_>| {
             let mut run = Vec::with_capacity(b);
-            run.extend((start..start + live).map(|slot| span.get(slot)));
+            span.unpack(start..start + live, &mut run);
             run
         };
         Entries {
             fps: read(view),
-            vals: self.values.as_ref().map(|vb| read(&vb.load_span(start, b))),
+            vals: self.values.as_ref().map(|vb| read(&vb.live_span(start, b))),
         }
     }
 
@@ -316,7 +318,7 @@ impl BulkTcf {
     fn block_pass<T, K>(&self, n: usize, target: T, kernel: K) -> Flags
     where
         T: Fn(usize) -> usize + Sync,
-        K: Fn(&SpanView<'_>, usize, usize, &[(u64, u64)], &Flags) + Sync,
+        K: Fn(&LiveSpan<'_>, usize, usize, &[(u64, u64)], &Flags) + Sync,
     {
         let pairs = self.device.par_map(n, |i| (target(i) as u64, i as u64));
         let flags = Flags::new(n);
